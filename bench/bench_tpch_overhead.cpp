@@ -34,6 +34,7 @@ INCDB_BENCH(tpch_overhead) {
   std::printf("%-24s %12s %12s %12s %10s\n", "query", "orig ms", "Q+ ms",
               "Q? ms", "Q+ ovh %");
   double worst_ratio = 0.0;
+  double worst_maybe_ratio = 0.0;  // informational: not part of the shape
   bool all_ok = true;
   for (const tpch::BenchQuery& bq : tpch::Workload()) {
     auto plus_q = TranslatePlus(bq.algebra, db);
@@ -50,6 +51,8 @@ INCDB_BENCH(tpch_overhead) {
     all_ok &= ok;
     double ovh = t_orig > 0 ? (t_plus / t_orig - 1.0) * 100.0 : 0.0;
     worst_ratio = std::max(worst_ratio, t_plus / std::max(t_orig, 1e-9));
+    worst_maybe_ratio =
+        std::max(worst_maybe_ratio, t_maybe / std::max(t_orig, 1e-9));
     std::printf("%-24s %12.2f %12.2f %12.2f %9.1f%%\n", bq.name.c_str(),
                 t_orig, t_plus, t_maybe, ovh);
     ctx.Report("tpch_query", t_plus)
@@ -69,10 +72,12 @@ INCDB_BENCH(tpch_overhead) {
                 ("worst Q+/original time ratio " +
                  std::to_string(worst_ratio).substr(0, 4) +
                  "x — constant-factor overhead, no blow-up on any of the "
-                 "8 workload queries")
+                 "8 workload queries (worst Q?/original " +
+                 std::to_string(worst_maybe_ratio).substr(0, 4) + "x)")
                     .c_str());
   ctx.ReportInfo("tpch_shape")
       .Param("shape_holds", shape)
-      .Param("worst_ratio", worst_ratio);
+      .Param("worst_ratio", worst_ratio)
+      .Param("worst_maybe_ratio", worst_maybe_ratio);
   if (!shape) ctx.SetFailed();
 }

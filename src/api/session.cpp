@@ -637,15 +637,9 @@ std::string PreparedQuery::Explain() const {
   if (!sql_.empty()) out += "sql     : " + sql_ + "\n";
   out += "algebra : " + alg_->ToString() + "\n";
   out += "plan    :\n" + PlanToString(plan);
-  static constexpr PhysOp kAllOps[] = {
-      PhysOp::kScanView,      PhysOp::kFilterSel, PhysOp::kFusedProjectFilter,
-      PhysOp::kProject,       PhysOp::kRename,    PhysOp::kHashJoin,
-      PhysOp::kNLJoin,        PhysOp::kUnion,     PhysOp::kHashDiff,
-      PhysOp::kHashIntersect, PhysOp::kDivision,  PhysOp::kUnifySemiJoin,
-      PhysOp::kHashSemi,      PhysOp::kInPred,    PhysOp::kDom,
-      PhysOp::kDistinct};
   out += "ops     :";
-  for (PhysOp op : kAllOps) {
+  for (size_t k = 0; k <= static_cast<size_t>(PhysOp::kDistinct); ++k) {
+    const PhysOp op = static_cast<PhysOp>(k);
     size_t n = CountOps(plan, op);
     if (n > 0) {
       out += " ";

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "eval/batch.h"
+#include "eval/unify_join.h"
 #include "eval/verify.h"
 
 namespace incdb {
@@ -115,6 +116,7 @@ class DeltaPropagator {
         return UnionDelta(n);
       case PhysOp::kHashJoin:
       case PhysOp::kNLJoin:
+      case PhysOp::kUnifyJoin:
         return JoinDelta(n);
       default:
         return Status::FailedPrecondition(
@@ -296,10 +298,19 @@ class DeltaPropagator {
   /// predicate at kT, multiplicity lc·rc (1 under set semantics), fused
   /// projection at emit time. kHashJoin indexes the smaller input on its
   /// key columns (SQL mode skips null keys on both sides, like the
-  /// executor); kNLJoin sweeps all pairs.
+  /// executor); kNLJoin sweeps all pairs; kUnifyJoin runs the executor's
+  /// own loop (UnifyJoinRows).
   Status JoinInto(const PhysNode& n, const std::vector<Relation::Row>& lrows,
                   const std::vector<Relation::Row>& rrows, Relation* out) {
     if (lrows.empty() || rrows.empty()) return Status::OK();
+    if (n.op == PhysOp::kUnifyJoin) {
+      return UnifyJoinRows(
+          n, set(), plan_->opts.batch_size, lrows, rrows,
+          [](uint64_t) { return Status::OK(); },
+          [out](const Tuple& t, uint64_t c, bool) {
+            return out->Insert(t, c);
+          });
+    }
     Tuple joint, projected, key;
     const auto emit = [&](const Tuple& lt, uint64_t lc, const Tuple& rt,
                           uint64_t rc) -> Status {

@@ -54,10 +54,14 @@ struct EvalOptions {
   /// many tuple occurrences. Dom^k products (Fig. 2a) hit this quickly,
   /// which is experiment E2.
   uint64_t max_tuples = 100'000'000;
-  /// Hash join on top-level equality conjuncts (vs nested loops).
+  /// Hash join on top-level equality conjuncts (vs nested loops); with
+  /// none, the null-aware UnifyJoin on a θ* = (a = b ∨ null(a) ∨ null(b))
+  /// conjunct — the Fig. 2(b) σ?-rule's image of a join equality.
   bool enable_hash_join = true;
-  /// σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r) under set semantics —
-  /// rescues the disjunctions produced by the Fig. 2(b) σ?-rule.
+  /// σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r) under set semantics for
+  /// join conditions with no hashable key. The σ?-rule's θ* joins take
+  /// the UnifyJoin instead (enable_hash_join); this pass remains for other
+  /// disjunctions.
   bool enable_or_expansion = true;
   /// π(σ(l×r)) projects at emit time instead of materialising pairs.
   bool enable_projection_fusion = true;
@@ -67,7 +71,8 @@ struct EvalOptions {
   /// (through products and renames) at plan-compile time.
   bool enable_selection_pushdown = true;
   /// Worker threads for the partitioned physical operators (hash join,
-  /// nested-loop join, difference/NOT-IN, ⋉⇑). 1 keeps the exact
+  /// nested-loop join, difference/NOT-IN, ⋉⇑; the UnifyJoin always runs
+  /// sequentially). 1 keeps the exact
   /// single-threaded insertion order; >1 splits the work across a small
   /// thread pool and merges the outputs in partition order — always the
   /// same *relation* at any thread count, and for the chunk-partitioned

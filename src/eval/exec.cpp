@@ -11,6 +11,9 @@
 //  * nested-loop join, difference/NOT-IN and ⋉⇑ split the *left* rows into
 //    contiguous chunks and merge chunk outputs in chunk order, which
 //    reproduces the exact sequential insertion order at any thread count.
+//
+// The null-aware unification join (eval/unify_join.h) always runs
+// sequentially, so its row order is the same at every thread count.
 
 #include <algorithm>
 #include <atomic>
@@ -29,6 +32,7 @@
 #include "eval/parallel_policy.h"
 #include "eval/plan.h"
 #include "eval/unify_index.h"
+#include "eval/unify_join.h"
 
 namespace incdb {
 
@@ -400,6 +404,8 @@ class Executor {
       case PhysOp::kHashJoin:
       case PhysOp::kNLJoin:
         return EvalJoin(n);
+      case PhysOp::kUnifyJoin:
+        return EvalUnifyJoin(n);
       case PhysOp::kUnion:
         return EvalUnion(n);
       case PhysOp::kHashDiff:
@@ -1162,6 +1168,29 @@ class Executor {
       }
     }
     return finish();
+  }
+
+  /// θ* join (eval/unify_join.h): one sequential loop, checkpointing per
+  /// window of max(batch_size, 1) rows and charging the budget per emitted
+  /// multiplicity.
+  StatusOr<RelationView> EvalUnifyJoin(const PhysNode& n) {
+    auto l = Eval(n.left);
+    if (!l.ok()) return l;
+    auto r = Eval(n.right);
+    if (!r.ok()) return r;
+    const bool set = set_semantics();
+    Relation out(n.attrs);
+    out.Reserve(std::max(l->rows().size(), r->rows().size()));
+    auto tick = [this](uint64_t units) { return Checkpoint(units); };
+    auto emit = [&](const Tuple& t, uint64_t c, bool distinct) -> Status {
+      INCDB_RETURN_IF_ERROR(distinct ? out.InsertUnique(t, c)
+                                     : out.Insert(t, c));
+      return Budget(c, n.attrs.size());
+    };
+    INCDB_RETURN_IF_ERROR(UnifyJoinRows(n, set, batch_size(), l->rows(),
+                                        r->rows(), tick, emit));
+    if (n.fused_proj && set) out.CollapseCounts();
+    return RelationView::Own(std::move(out));
   }
 
   /// Partitioned hash join: both sides are split by key-hash prefix into

@@ -42,6 +42,8 @@ const char* ToString(PhysOp op) {
       return "InPred";
     case PhysOp::kDom:
       return "Dom";
+    case PhysOp::kUnifyJoin:
+      return "UnifyJoin";
     case PhysOp::kDistinct:
       return "Distinct";
   }
@@ -99,6 +101,51 @@ CondPtr RenameCondAttrs(const CondPtr& c,
       break;
   }
   return out;
+}
+
+/// Collects the leaves of an OR tree.
+void Disjuncts(const CondPtr& c, std::vector<const Condition*>* out) {
+  if (c->kind == CondKind::kOr) {
+    Disjuncts(c->left, out);
+    Disjuncts(c->right, out);
+  } else {
+    out->push_back(c.get());
+  }
+}
+
+/// True iff `c` is θ* = (a = b ∨ null(a) ∨ null(b)) in any OR-tree shape,
+/// with one of a, b in `lattrs` and the other in `rattrs` — the image of a
+/// join equality under the Fig. 2(b) σ?-rule (StarTranslate/Negate emit
+/// it as COr(CEq, COr(CIsNull, CIsNull))). Sets the key positions.
+bool MatchUnifyKey(const CondPtr& c, const std::vector<std::string>& lattrs,
+                   const std::vector<std::string>& rattrs, size_t* li,
+                   size_t* ri) {
+  if (c->kind != CondKind::kOr) return false;
+  std::vector<const Condition*> leaves;
+  Disjuncts(c, &leaves);
+  if (leaves.size() != 3) return false;
+  const Condition* eq = nullptr;
+  std::set<std::string> null_tested;
+  for (const Condition* leaf : leaves) {
+    if (leaf->kind == CondKind::kEqAttrAttr && eq == nullptr) {
+      eq = leaf;
+    } else if (leaf->kind == CondKind::kIsNull) {
+      null_tested.insert(leaf->lhs);
+    } else {
+      return false;
+    }
+  }
+  if (eq == nullptr ||
+      null_tested != std::set<std::string>{eq->lhs, eq->rhs}) {
+    return false;
+  }
+  *li = IndexOf(lattrs, eq->lhs);
+  *ri = IndexOf(rattrs, eq->rhs);
+  if (*li == lattrs.size() || *ri == rattrs.size()) {
+    *li = IndexOf(lattrs, eq->rhs);
+    *ri = IndexOf(rattrs, eq->lhs);
+  }
+  return *li != lattrs.size() && *ri != rattrs.size();
 }
 
 /// True iff every attribute the condition mentions belongs to `attrs`.
@@ -484,12 +531,28 @@ class Compiler {
                        !for_ctables_ && opts_.enable_hash_join, &lkeys, &rkeys,
                        &residual);
 
-    // OR-expansion: a disjunctive join condition with no hashable
-    // top-level equality (the shape the Fig. 2(b) σ?-rule produces:
-    // a = b ∨ null(a) ∨ null(b)) would force a full nested loop. Under
-    // set semantics σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r), and each
-    // disjunct is re-optimised with its own fast path. (Not valid under
-    // bags — rows satisfying both disjuncts would double-count.)
+    // Null-aware unification join: with no plain equi-key, a θ* conjunct
+    // (the Fig. 2(b) σ?-rule's image of a join equality) becomes the
+    // single key of a UnifyJoin; the other conjuncts stay residual.
+    bool unify = false;
+    if (!for_ctables_ && opts_.enable_hash_join && lkeys.empty()) {
+      for (size_t i = 0; i < residual.size(); ++i) {
+        size_t li = 0, ri = 0;
+        if (MatchUnifyKey(residual[i], l->attrs, r->attrs, &li, &ri)) {
+          lkeys.push_back(li);
+          rkeys.push_back(ri);
+          residual.erase(residual.begin() + static_cast<long>(i));
+          unify = true;
+          break;
+        }
+      }
+    }
+
+    // OR-expansion: any other disjunctive join condition with no hashable
+    // key would force a full nested loop. Under set semantics
+    // σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r), and each disjunct is
+    // re-optimised with its own fast path. (Not valid under bags — rows
+    // satisfying both disjuncts would double-count.)
     if (!for_ctables_ && opts_.enable_or_expansion && lkeys.empty() &&
         residual.size() == 1 && residual[0]->kind == CondKind::kOr &&
         set_semantics()) {
@@ -506,7 +569,9 @@ class Compiler {
     }
 
     auto node = std::make_shared<PhysNode>();
-    node->op = lkeys.empty() ? PhysOp::kNLJoin : PhysOp::kHashJoin;
+    node->op = unify           ? PhysOp::kUnifyJoin
+               : lkeys.empty() ? PhysOp::kNLJoin
+                               : PhysOp::kHashJoin;
     node->left = l;
     node->right = r;
     node->left_arity = l->attrs.size();
@@ -625,6 +690,7 @@ bool OpIsMaintainable(PhysOp op) {
     case PhysOp::kUnion:
     case PhysOp::kHashJoin:
     case PhysOp::kNLJoin:
+    case PhysOp::kUnifyJoin:
       return true;
     default:
       return false;
@@ -674,6 +740,12 @@ void RenderNode(const PhysPtr& n, size_t depth, std::string* out) {
   out->append(ToString(n->op));
   if (n->op == PhysOp::kScanView) {
     *out += "(" + n->rel_name + ")";
+  }
+  if (n->op == PhysOp::kUnifyJoin && n->lkeys.size() == 1 &&
+      n->rkeys.size() == 1 && n->lkeys[0] < n->left->attrs.size() &&
+      n->rkeys[0] < n->right->attrs.size()) {
+    *out += "(" + n->left->attrs[n->lkeys[0]] + " ≈ " +
+            n->right->attrs[n->rkeys[0]] + ")";
   }
   if (n->cond && n->cond->kind != CondKind::kTrue) {
     *out += "[" + n->cond->ToString() + "]";

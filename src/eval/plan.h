@@ -11,15 +11,19 @@
 ///     passes that the tree-walking evaluator used to re-derive on every
 ///     call:
 ///       * conjunct split — top-level equality conjuncts of a join
-///         condition become hash-join keys (enable_hash_join);
+///         condition become hash-join keys; with none, a θ* conjunct
+///         (a = b ∨ null(a) ∨ null(b), the Fig. 2(b) σ?-rule's image of a
+///         join equality) becomes the single key of a null-aware
+///         UnifyJoin (enable_hash_join; eval/unify_join.h);
 ///       * selection pushdown — one-sided conjuncts move below the join,
 ///         through products and renames (enable_selection_pushdown);
 ///       * projection fusion — π over a join-shaped child projects at emit
 ///         time; π over a plain σ becomes a FusedProjectFilter
 ///         (enable_projection_fusion);
 ///       * OR-expansion — a disjunctive join condition with no hashable
-///         equality becomes a union of per-disjunct joins under set
-///         semantics, each branch re-optimised (enable_or_expansion).
+///         key (neither an equality nor θ*) becomes a union of
+///         per-disjunct joins under set semantics, each branch
+///         re-optimised (enable_or_expansion).
 ///     The database is consulted for *schemas only*: a compiled plan can be
 ///     executed against any database with the same relation schemas.
 ///
@@ -52,7 +56,8 @@ namespace incdb {
 /// The three evaluation disciplines of the paper (see eval/eval.h).
 enum class EvalMode : uint8_t { kSetNaive, kBagNaive, kSetSql };
 
-/// Typed physical operators.
+/// Typed physical operators. kDistinct must stay last: callers size
+/// per-operator arrays as kDistinct + 1 and iterate 0 … kDistinct.
 enum class PhysOp : uint8_t {
   kScanView,           ///< Borrowed view of a base relation.
   kFilterSel,          ///< σ with a compiled predicate.
@@ -69,7 +74,8 @@ enum class PhysOp : uint8_t {
   kHashSemi,           ///< Semijoin / antijoin (EXISTS-style, hashed keys).
   kInPred,             ///< SQL [NOT] IN predicate.
   kDom,                ///< Dom^k over the active domain.
-  kDistinct,           ///< Multiplicity collapse.
+  kUnifyJoin,          ///< Null-aware join on θ* = (a = b ∨ null(a) ∨ null(b)).
+  kDistinct,           ///< Multiplicity collapse (keep last).
 };
 
 const char* ToString(PhysOp op);
@@ -110,7 +116,8 @@ struct PhysNode {
   bool proj_right_only = false;    ///< Fused projection touches only right columns.
   size_t left_arity = 0;           ///< Join-like nodes: arity of the left input.
 
-  std::vector<size_t> lkeys, rkeys;  ///< kHashJoin / kHashSemi key positions.
+  /// kHashJoin / kHashSemi key positions; kUnifyJoin's single θ* key.
+  std::vector<size_t> lkeys, rkeys;
   bool anti = false;               ///< kHashSemi: antijoin; kInPred: NOT IN.
   bool trivial_residual = false;   ///< kHashSemi: no residual predicate.
   bool correlated = false;         ///< kInPred: θ references both sides.
@@ -147,7 +154,7 @@ struct Plan {
   /// True when every operator of the DAG belongs to the monotone subset
   /// incremental result maintenance can propagate row-level deltas
   /// through (scan, filter, fused project-filter, project, rename, union,
-  /// hash/NL join). Difference, intersection, division, semijoins,
+  /// hash/NL/unify join). Difference, intersection, division, semijoins,
   /// distinct, Dom and c-table plans are excluded — cached results of
   /// non-maintainable plans fall back to invalidation on mutation.
   bool maintainable = false;

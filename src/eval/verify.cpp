@@ -106,6 +106,7 @@ class PlanVerifier {
         return Status::OK();
       case PhysOp::kHashJoin:
       case PhysOp::kNLJoin:
+      case PhysOp::kUnifyJoin:
         return CheckJoin(n, path);
       case PhysOp::kUnion:
       case PhysOp::kHashDiff:
@@ -236,6 +237,11 @@ class PlanVerifier {
     if (n.op == PhysOp::kHashJoin) {
       if (n.lkeys.empty()) {
         return FailNode(n, path, "hash join without key columns");
+      }
+      INCDB_RETURN_IF_ERROR(CheckKeys(n, path, la.size(), ra.size()));
+    } else if (n.op == PhysOp::kUnifyJoin) {
+      if (n.lkeys.size() != 1 || n.rkeys.size() != 1) {
+        return FailNode(n, path, "unify join needs exactly one key per side");
       }
       INCDB_RETURN_IF_ERROR(CheckKeys(n, path, la.size(), ra.size()));
     } else {

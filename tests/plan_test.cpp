@@ -18,11 +18,13 @@
 #include <vector>
 
 #include "algebra/builder.h"
+#include "approx/approx.h"
 #include "eval/eval.h"
 #include "eval/parallel_policy.h"
 #include "eval/plan.h"
 #include "eval/plan_cache.h"
 #include "tests/testing_util.h"
+#include "tpch/tpch.h"
 
 namespace incdb {
 namespace {
@@ -57,6 +59,16 @@ std::vector<AlgPtr> OptimizerCorpus() {
       Select(Product(r, Rename(s, {"S_x", "S_y"})),
              COr(CEq("R_b", "S_x"), CIsNull("S_y"))),
       {"R_a", "S_y"}));
+  // θ* = (a = b ∨ null(a) ∨ null(b)) joins (the null-aware UnifyJoin):
+  // full width, with a residual, and projected onto one side (the
+  // semijoin form of Q⁺ of a difference).
+  CondPtr star = COr(CEq("R_b", "S_x"), COr(CIsNull("R_b"), CIsNull("S_x")));
+  AlgPtr rs = Product(r, Rename(s, {"S_x", "S_y"}));
+  corpus.push_back(Select(rs, star));
+  corpus.push_back(Select(rs, CAnd(star, CNeq("R_a", "S_y"))));
+  corpus.push_back(Project(Select(rs, star), {"R_a", "R_b"}));
+  corpus.push_back(
+      Project(Select(rs, CAnd(CNeqc("S_y", Value::Int(0)), star)), {"S_y"}));
   return corpus;
 }
 
@@ -205,6 +217,90 @@ TEST(PlanShapeTest, OrExpansionSharesCompiledInputs) {
     if (count > 1) has_shared = true;
   }
   EXPECT_TRUE(has_shared);
+}
+
+/// Q⁺ (plus) or Q? (maybe) of TPC-H-lite workload query `name`, compiled
+/// under naive set semantics.
+PlanPtr CompileApprox(const Database& db, const std::string& name, bool plus,
+                      const EvalOptions& opts) {
+  for (const tpch::BenchQuery& bq : tpch::Workload()) {
+    if (bq.name.rfind(name, 0) != 0) continue;
+    auto q = plus ? TranslatePlus(bq.algebra, db)
+                  : TranslateMaybe(bq.algebra, db);
+    EXPECT_TRUE(q.ok()) << name << ": " << q.status().ToString();
+    if (!q.ok()) return nullptr;
+    auto plan = Compile(*q, EvalMode::kSetNaive, opts, db);
+    EXPECT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
+    return plan.ok() ? *plan : nullptr;
+  }
+  ADD_FAILURE() << "no workload query " << name;
+  return nullptr;
+}
+
+// The σ?-rule's θ* join condition takes the null-aware UnifyJoin, not the
+// OR-expanded HashJoin ∪ NLJoin ∪ NLJoin: W4's Q? is two UnifyJoins with
+// no union, and no Q⁺ of a difference keeps a nested loop.
+TEST(PlanShapeTest, ThetaStarJoinsUseUnifyJoin) {
+  tpch::GenOptions gen;
+  gen.scale = 0.1;
+  gen.null_rate = 0.05;
+  Database db = tpch::Generate(gen);
+  PlanPtr w4 = CompileApprox(db, "W4", /*plus=*/false, EvalOptions{});
+  ASSERT_NE(w4, nullptr);
+  EXPECT_EQ(CountOps(*w4, PhysOp::kUnifyJoin), 2u) << PlanToString(*w4);
+  EXPECT_EQ(CountOps(*w4, PhysOp::kNLJoin), 0u) << PlanToString(*w4);
+  EXPECT_EQ(CountOps(*w4, PhysOp::kUnion), 0u) << PlanToString(*w4);
+  for (const char* name : {"W1", "W2", "W5", "W6"}) {
+    PlanPtr plus = CompileApprox(db, name, /*plus=*/true, EvalOptions{});
+    ASSERT_NE(plus, nullptr);
+    EXPECT_EQ(CountOps(*plus, PhysOp::kNLJoin), 0u)
+        << name << "\n" << PlanToString(*plus);
+    EXPECT_EQ(CountOps(*plus, PhysOp::kUnifyJoin), 1u)
+        << name << "\n" << PlanToString(*plus);
+  }
+
+  // The operator belongs to the hash-join pass: with it off, the plans
+  // fall back to nested loops and never use UnifyJoin.
+  EvalOptions no_hash;
+  no_hash.enable_hash_join = false;
+  for (const char* name : {"W1", "W2", "W4", "W5", "W6"}) {
+    for (bool plus : {true, false}) {
+      PlanPtr plan = CompileApprox(db, name, plus, no_hash);
+      ASSERT_NE(plan, nullptr);
+      EXPECT_EQ(CountOps(*plan, PhysOp::kUnifyJoin), 0u)
+          << name << "\n" << PlanToString(*plan);
+    }
+  }
+}
+
+// Only the exact θ* leaf set {a = b, null(a), null(b)} across the two
+// sides is a unification key; a plain equality still wins as a hash key.
+TEST(PlanShapeTest, UnifyKeyRecognitionIsExact) {
+  std::mt19937_64 rng(6);
+  Database db = RandomDatabase(rng);
+  AlgPtr rs = Product(Scan("R"), Rename(Scan("S"), {"S_x", "S_y"}));
+  auto ops = [&](const CondPtr& c, PhysOp op) {
+    auto plan = Compile(Select(rs, c), EvalMode::kBagNaive, EvalOptions{}, db);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() ? CountOps(**plan, op) : 0;
+  };
+  // Any OR-tree shape and leaf order.
+  EXPECT_EQ(ops(COr(COr(CIsNull("S_x"), CEq("S_x", "R_b")), CIsNull("R_b")),
+                PhysOp::kUnifyJoin),
+            1u);
+  // A null test on the wrong attribute is not θ*.
+  EXPECT_EQ(ops(COr(CEq("R_b", "S_x"), COr(CIsNull("R_a"), CIsNull("S_x"))),
+                PhysOp::kUnifyJoin),
+            0u);
+  // A fourth disjunct is not θ*.
+  EXPECT_EQ(ops(COr(COr(CEq("R_b", "S_x"), CIsNull("R_a")),
+                    COr(CIsNull("R_b"), CIsNull("S_x"))),
+                PhysOp::kUnifyJoin),
+            0u);
+  // A plain equi-key wins; θ* stays in the hash join's residual.
+  CondPtr star = COr(CEq("R_b", "S_x"), COr(CIsNull("R_b"), CIsNull("S_x")));
+  EXPECT_EQ(ops(CAnd(star, CEq("R_a", "S_y")), PhysOp::kHashJoin), 1u);
+  EXPECT_EQ(ops(CAnd(star, CEq("R_a", "S_y")), PhysOp::kUnifyJoin), 0u);
 }
 
 TEST(PlanExecTest, CompileOnceExecuteManyAcrossDatabases) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 
 #include "api/session.h"
@@ -14,6 +15,7 @@
 #include "ctables/ceval.h"
 #include "sql/translate.h"
 #include "tests/testing_util.h"
+#include "tpch/tpch.h"
 
 namespace incdb {
 namespace {
@@ -273,6 +275,38 @@ TEST(SessionTest, ExplainExposesPlanOpsAndCacheStats) {
   EXPECT_NE(text.find("misses=1"), std::string::npos) << text;
 }
 
+// Explain lists every operator kind the plan uses, including the ones
+// added after it was written: W4's Q? (the σ?-rule's θ* joins) runs on
+// two UnifyJoins.
+TEST(SessionTest, ExplainListsUnifyJoinOfMaybeTranslation) {
+  tpch::GenOptions gen;
+  gen.scale = 0.1;
+  gen.null_rate = 0.05;
+  Session sess(tpch::Generate(gen));
+  AlgPtr w4;
+  for (const tpch::BenchQuery& bq : tpch::Workload()) {
+    if (bq.name.rfind("W4", 0) == 0) w4 = bq.algebra;
+  }
+  ASSERT_NE(w4, nullptr);
+  auto maybe = TranslateMaybe(w4, sess.db());
+  ASSERT_TRUE(maybe.ok()) << maybe.status().ToString();
+  auto pq = sess.Prepare(*maybe, EvalMode::kSetNaive);
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  const std::string text = pq->Explain();
+  EXPECT_NE(text.find("UnifyJoin=2"), std::string::npos) << text;
+}
+
+// Every operator kind has its own printable name (Explain's ops line and
+// the benchmark's per-operator metrics key on it).
+TEST(SessionTest, EveryPhysOpHasADistinctName) {
+  std::set<std::string> names;
+  for (size_t k = 0; k <= static_cast<size_t>(PhysOp::kDistinct); ++k) {
+    const std::string name = ToString(static_cast<PhysOp>(k));
+    EXPECT_NE(name, "?") << "PhysOp " << k << " has no name";
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+}
+
 // --- SQL errors with positions ----------------------------------------------
 
 TEST(SessionTest, PrepareErrorsCarryOffsetsAndSnippets) {
@@ -505,6 +539,79 @@ TEST(SessionTest, MutateRemoveMaintainsBagsAndInvalidatesSets) {
     auto cold = pq->Execute();
     ASSERT_TRUE(cold.ok());
     EXPECT_TRUE(cold->SameRows(*got));
+  }
+}
+
+// A prepared θ* join (the σ?-rule's a = b ∨ null(a) ∨ null(b), planned as
+// a UnifyJoin) stays delta-maintained through commits that insert and
+// remove null-keyed rows on either side. Under set semantics the removals
+// take one of two occurrences, so no tuple leaves the set (a set-level
+// deletion would fall back to invalidation by design); under bags the
+// last occurrence goes too.
+TEST(SessionTest, MutateMaintainsUnifyJoinResults) {
+  for (EvalMode mode : {EvalMode::kSetNaive, EvalMode::kBagNaive}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    Session sess;
+    Relation r({"a", "k"});
+    r.Add({Value::Int(1), Value::Int(10)});
+    r.Add({Value::Int(2), Value::Int(20)});
+    r.Add({Value::Int(3), Value::Null(1)}, 2);
+    Relation s({"k2", "b"});
+    s.Add({Value::Int(10), Value::Int(100)});
+    s.Add({Value::Int(30), Value::Int(300)});
+    s.Add({Value::Null(2), Value::Int(400)}, 2);
+    sess.Put("R", std::move(r));
+    sess.Put("S", std::move(s));
+    AlgPtr q = Select(Product(Scan("R"), Scan("S")),
+                      COr(CEq("k", "k2"), COr(CIsNull("k"), CIsNull("k2"))));
+    auto pq = sess.Prepare(q, mode);
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    ASSERT_EQ(pq->CountPlanOps(PhysOp::kUnifyJoin), 1u) << pq->Explain();
+    ASSERT_TRUE(pq->Execute().ok());  // prime the cache
+
+    using Commit = std::function<Status(Database::Txn&)>;
+    std::vector<Commit> commits = {
+        [](Database::Txn& t) {
+          return t.Insert("R", {Value::Int(4), Value::Null(3)});
+        },
+        [](Database::Txn& t) {
+          return t.Insert("S", {Value::Null(4), Value::Int(500)});
+        },
+        [](Database::Txn& t) {
+          INCDB_RETURN_IF_ERROR(t.Insert("R", {Value::Int(5), Value::Int(30)}));
+          return t.Insert("S", {Value::Int(20), Value::Int(200)});
+        },
+        [](Database::Txn& t) {
+          return t.Remove("R", {Value::Int(3), Value::Null(1)});
+        },
+        [](Database::Txn& t) {
+          return t.Remove("S", {Value::Null(2), Value::Int(400)});
+        },
+    };
+    if (mode == EvalMode::kBagNaive) {
+      commits.push_back([](Database::Txn& t) {
+        INCDB_RETURN_IF_ERROR(t.Remove("R", {Value::Int(4), Value::Null(3)}));
+        return t.Remove("S", {Value::Null(4), Value::Int(500)});
+      });
+    }
+    uint64_t want_maintained = 0;
+    for (const Commit& commit : commits) {
+      ASSERT_TRUE(sess.Mutate(commit).ok());
+      ++want_maintained;
+      SessionStats stats = sess.stats();
+      EXPECT_EQ(stats.result_cache.maintained, want_maintained);
+      EXPECT_EQ(stats.result_cache.invalidations, 0u);
+      auto got = pq->Execute();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      auto cold = mode == EvalMode::kBagNaive ? EvalBag(q, sess.db())
+                                              : EvalSet(q, sess.db());
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      EXPECT_TRUE(cold->SameRows(*got))
+          << "cold:\n" << cold->ToString() << "\nmaintained:\n"
+          << got->ToString();
+    }
+    EXPECT_EQ(sess.stats().result_cache.hits, want_maintained)
+        << "maintained entries were not served";
   }
 }
 

@@ -159,7 +159,8 @@ inline Database RandomBagDatabase(std::mt19937_64& rng,
 ///
 /// Generated queries cover the core grammar plus every sugar operator the
 /// three evaluators execute natively (join, semijoin/antijoin, [NOT] IN,
-/// DISTINCT, ⋉⇑); ÷ and Dom are excluded (÷ is unsupported under EvalSql,
+/// DISTINCT, ⋉⇑); a third of the joins are keyed on a θ* cross-side
+/// condition. ÷ and Dom are excluded (÷ is unsupported under EvalSql,
 /// Dom blows up the reference walk). Arity agreement and ×-disjointness
 /// are maintained structurally: same-arity operators narrow the wider side
 /// with a projection, product-like operators rename their right input to
@@ -208,6 +209,13 @@ class RandomQueryGen {
       default:
         return CGec(a, RandConst());
     }
+  }
+
+  /// θ* = (a = b ∨ null(a) ∨ null(b)), the Fig. 2(b) σ?-rule's image of a
+  /// join equality, in one of two OR-tree shapes.
+  CondPtr StarCond(const std::string& a, const std::string& b) {
+    if (Pick(2) != 0) return COr(CEq(a, b), COr(CIsNull(a), CIsNull(b)));
+    return COr(COr(CIsNull(b), CEq(b, a)), CIsNull(a));
   }
 
   CondPtr RandCond(const std::vector<std::string>& attrs, int depth) {
@@ -297,6 +305,12 @@ class RandomQueryGen {
         joint.insert(joint.end(), r.attrs.begin(), r.attrs.end());
         size_t est = l.est * r.est;
         if (Pick(2) != 0) return {Product(l.q, r.q), joint, est};
+        if (Pick(3) == 0) {  // θ* cross-side key, sometimes with a residual
+          CondPtr c = StarCond(l.attrs[Pick(l.attrs.size())],
+                               r.attrs[Pick(r.attrs.size())]);
+          if (Pick(2) != 0) c = CAnd(std::move(c), RandAtom(joint));
+          return {Join(l.q, r.q, std::move(c)), joint, est};
+        }
         return {Join(l.q, r.q, RandCond(joint, 1)), joint, est};
       }
       case 8: {  // ⋉θ / ⊳θ

@@ -2,7 +2,8 @@
 //
 //  * Zero-findings sweeps: every plan the compiler produces over the
 //    QueryZoo, the sugar corpus, 150 seeded random queries, parameter
-//    templates (before AND after binding) and the c-table lowering must
+//    templates (before AND after binding), the Q⁺/Q? translations of the
+//    TPC-H-lite workload W1–W8 and the c-table lowering must
 //    pass VerifyPlan — across all three evaluation modes and a matrix of
 //    rewrite-pass toggles. The verifier is also wired into Compile /
 //    BindPlanParams / the plan cache / delta propagation in Debug builds,
@@ -13,7 +14,8 @@
 //    index, dangling pred_attrs, cyclic DAG share, bogus maintainable,
 //    malformed predicate register program, uncovered parameter slots,
 //    wrong scanned_rels / uses_dom, stale refcounts, catalog mismatch,
-//    out-of-range join keys, unresolved num_threads — each rejected with
+//    out-of-range (hash and unify) join keys, unresolved num_threads —
+//    each rejected with
 //    a kInternal diagnostic naming the offending node by its root path.
 
 #include "eval/verify.h"
@@ -28,10 +30,12 @@
 #include <vector>
 
 #include "algebra/builder.h"
+#include "approx/approx.h"
 #include "eval/batch.h"
 #include "eval/eval.h"
 #include "eval/plan.h"
 #include "tests/testing_util.h"
+#include "tpch/tpch.h"
 
 namespace incdb {
 
@@ -201,6 +205,36 @@ TEST(VerifySweep, ParamTemplatesBeforeAndAfterBinding) {
       ASSERT_TRUE(st.ok()) << st.ToString();
     }
   }
+}
+
+/// A small TPC-H-lite instance with nulls in every nullable column.
+Database TpchWithNulls() {
+  tpch::GenOptions gen;
+  gen.scale = 0.1;
+  gen.null_rate = 0.05;
+  return tpch::Generate(gen);
+}
+
+TEST(VerifySweep, WorkloadApproxPlansZeroFindings) {
+  Database db = TpchWithNulls();
+  size_t verified = 0;
+  for (const tpch::BenchQuery& bq : tpch::Workload()) {
+    for (bool plus : {true, false}) {
+      auto q = plus ? TranslatePlus(bq.algebra, db)
+                    : TranslateMaybe(bq.algebra, db);
+      ASSERT_TRUE(q.ok()) << bq.name << ": " << q.status().ToString();
+      for (EvalMode mode : kModes) {
+        for (const EvalOptions& opts : ToggleMatrix()) {
+          auto plan = Compile(*q, mode, opts, db);
+          ASSERT_TRUE(plan.ok()) << bq.name << ": " << plan.status().ToString();
+          Status st = VerifyPlan(*plan, &db);
+          ASSERT_TRUE(st.ok()) << bq.name << ": " << st.ToString();
+          ++verified;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(verified, tpch::Workload().size() * 2 * 3 * ToggleMatrix().size());
 }
 
 TEST(VerifySweep, CTableLoweringsVerify) {
@@ -480,6 +514,33 @@ TEST(VerifyNegative, JoinKeyOutOfRange) {
   keyless->lkeys.clear();
   keyless->rkeys.clear();
   ExpectRejected(WithRoot(*plan, keyless), &db, "without key columns");
+}
+
+TEST(VerifyNegative, UnifyJoinKeyOutOfRange) {
+  Database db = TpchWithNulls();
+  AlgPtr w4;
+  for (const tpch::BenchQuery& bq : tpch::Workload()) {
+    if (bq.name.rfind("W4", 0) == 0) w4 = bq.algebra;
+  }
+  ASSERT_NE(w4, nullptr);
+  auto maybe = TranslateMaybe(w4, db);
+  ASSERT_TRUE(maybe.ok()) << maybe.status().ToString();
+  PlanPtr plan = MustCompile(*maybe, db);
+  ASSERT_NE(plan, nullptr);
+  // W4's Q? is UnifyJoin(UnifyJoin(customer, orders), nation): corrupt the
+  // inner join, whose diagnostic must name it by its path.
+  ASSERT_EQ(plan->root->op, PhysOp::kUnifyJoin) << PlanToString(*plan);
+  ASSERT_EQ(plan->root->left->op, PhysOp::kUnifyJoin) << PlanToString(*plan);
+  auto inner = std::make_shared<PhysNode>(*plan->root->left);
+  inner->rkeys = {99};
+  auto root = std::make_shared<PhysNode>(*plan->root);
+  root->left = inner;
+  ExpectRejected(WithRoot(*plan, root), &db, "root.left (UnifyJoin)");
+  ExpectRejected(WithRoot(*plan, root), &db, "right key position 99");
+  auto two_keys = std::make_shared<PhysNode>(*plan->root);
+  two_keys->lkeys.push_back(0);
+  two_keys->rkeys.push_back(0);
+  ExpectRejected(WithRoot(*plan, two_keys), &db, "exactly one key per side");
 }
 
 TEST(VerifyNegative, UnresolvedNumThreads) {
