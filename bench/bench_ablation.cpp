@@ -1,7 +1,7 @@
 // Ablation study (DESIGN.md §4): the evaluator fast paths that make the
 // Fig. 2(b) rewriting competitive — hash join (which also plans the
-// σ?-rule's θ* joins as null-aware UnifyJoins), OR-expansion of other
-// disjunctions, projection fusion, and the ⋉⇑ null-mask index.
+// σ?-rule's θ* joins as null-aware UnifyJoins), projection fusion,
+// selection pushdown, and the ⋉⇑ null-mask index.
 // Each is disabled in turn on the TPC-H-lite negation workload; results
 // must not change, only cost. This quantifies the paper's remark that the
 // remaining practical obstacle is "the poor way in which query optimizers
@@ -40,11 +40,6 @@ INCDB_BENCH(ablation) {
     EvalOptions o = base;
     o.enable_hash_join = false;
     configs.push_back({"- hash join", o});
-  }
-  {
-    EvalOptions o = base;
-    o.enable_or_expansion = false;
-    configs.push_back({"- OR-expansion", o});
   }
   {
     EvalOptions o = base;

@@ -49,12 +49,13 @@ int main() {
       "(bob's unknown price compares 'unknown' under SQL's 3VL, so bob\n"
       "never appears — exactly what a SQL engine would do.)\n\n");
 
-  // EXPLAIN: the compiled operator DAG plus the session cache counters —
+  // EXPLAIN: the compiled operator tree plus the session cache counters —
   // note misses=1: all three executions shared one compile.
   std::printf("%s\n", pq->Explain().c_str());
 
-  // Streaming cursor: rows are pulled one at a time through the root
-  // filter chain; stop whenever you have enough.
+  // Streaming cursor: rows are delivered one at a time, while the root
+  // filter chain runs over small windows of base rows (batch_size 1 is
+  // row-at-a-time); stop whenever you have enough.
   auto cur = pq->OpenCursor({Value::Int(10)});
   if (cur.ok()) {
     std::printf("cursor (streaming=%s):", cur->streaming() ? "yes" : "no");

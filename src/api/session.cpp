@@ -149,7 +149,7 @@ struct Cursor::Impl {
   Database snapshot;
   ScanResolver scans;
   RelationView base;
-  /// Root operator chain, root first; applied bottom-up per pulled row.
+  /// Root operator chain, root first; applied bottom-up per pulled window.
   std::vector<const PhysNode*> stages;
   /// Per-stage dedup state for kDistinct stages (indexed like `stages`).
   std::vector<std::unordered_set<Tuple>> distinct_seen;
@@ -163,11 +163,9 @@ struct Cursor::Impl {
   uint64_t current_count = 0;
   /// Deadline / cancellation context the cursor was opened with; covers
   /// the whole drain. `limited` caches ctx.limited() so an inert context
-  /// costs one predictable branch per pulled row.
+  /// costs one predictable branch per refill.
   ExecContext ctx;
   bool limited = false;
-  /// Amortized-check counter: base rows pulled since the last ctx check.
-  uint64_t visited = 0;
   /// Streaming row budget: deliveries so far vs EvalOptions::max_tuples
   /// (the materialised remainder below the chain is budgeted separately
   /// inside ExecuteNode; this bounds what the lazy chain itself emits).
@@ -175,23 +173,18 @@ struct Cursor::Impl {
   uint64_t max_tuples = 0;
   /// Terminal status (Cursor::status()); non-OK latches Next() to false.
   Status status = Status::OK();
-  /// Vectorized drain (EvalOptions::batch_size at OpenCursor; 0 = legacy
-  /// row-at-a-time pulls). RefillBatch pulls `batch` base rows at a time
-  /// and pushes them through the stage chain column-wise with the same
-  /// predicate programs the bulk executor uses; delivery-side dedup and
-  /// the max_tuples budget still run per pop, so the delivered stream is
-  /// bit-identical — only the deadline/cancel checkpoint cadence moves to
-  /// batch granularity.
-  size_t batch = 0;
-  /// Columnar programs per stage (indexed like `stages`; null for the
-  /// non-predicate stages).
-  std::vector<std::unique_ptr<BatchPredicate>> stage_preds;
-  /// Rows that survived the stage chain, not yet delivered.
+  /// Vectorized drain: RefillBatch pulls windows of at most
+  /// EvalOptions::batch_size base rows (1 = row-at-a-time) and pushes them
+  /// through the stage chain column-wise with the predicate programs
+  /// stored on the plan nodes, the same ones the bulk executor runs.
+  /// Delivery-side dedup and the max_tuples budget run per pop; the
+  /// deadline/cancel checkpoint runs once per window. `buf` holds the rows
+  /// that survived the stage chain, not yet delivered.
   std::vector<Relation::Row> buf;
   size_t buf_pos = 0;
   /// Progressive refill window: starts small (a top-k caller that drains
   /// ten rows must not pay for a 1024-row transposition) and grows 8×
-  /// per refill up to `batch` (16 → 128 → 1024), so full drains amortize
+  /// per refill up to batch_size (16 → 128 → 1024), so full drains amortize
   /// to the configured batch size after two windows.
   size_t window = 0;
   BatchGather gather;
@@ -207,23 +200,22 @@ struct Cursor::Impl {
 };
 
 namespace {
-/// Cursor pulls are row-at-a-time with caller code between pulls, so the
-/// check cadence is much tighter than the executor's bulk interval.
-constexpr uint64_t kCursorCheckInterval = 256;
-
-/// Pulls windows of I.batch base rows and pushes each through the stage
-/// chain bottom-up, column-at-a-time, until some rows survive or the base
-/// is drained. One deadline/cancel check per window. Returns non-OK only
-/// for a ctx failure (the caller latches it; buffered-but-undelivered
-/// rows are dropped, matching the executor's partial-result semantics).
+/// Pulls windows of base rows (at most the plan's batch_size) and pushes
+/// each through the stage chain bottom-up, column-at-a-time, until some
+/// rows survive or the base is drained. A chain of zero stages passes each
+/// window through unchanged. One deadline/cancel check per window. Returns
+/// non-OK only for a ctx failure (the caller latches it;
+/// buffered-but-undelivered rows are dropped, matching the executor's
+/// partial-result semantics).
 /// Template so the (private) Cursor::Impl type is deduced, never named.
 template <typename ImplT>
 Status RefillBatch(ImplT& I) {
   const std::vector<Relation::Row>& rows = I.base.rows();
   while (I.buf_pos >= I.buf.size() && I.next_row < rows.size()) {
     if (I.limited) INCDB_RETURN_IF_ERROR(I.ctx.Check());
-    I.window = I.window == 0 ? std::min<size_t>(I.batch, 16)
-                             : std::min(I.batch, I.window * 8);
+    const size_t batch = I.plan->opts.batch_size;
+    I.window = I.window == 0 ? std::min<size_t>(batch, 16)
+                             : std::min(batch, I.window * 8);
     const size_t begin = I.next_row;
     const size_t end = std::min(rows.size(), begin + I.window);
     I.next_row = end;
@@ -235,11 +227,9 @@ Status RefillBatch(ImplT& I) {
         case PhysOp::kFilterSel:
         case PhysOp::kFusedProjectFilter: {
           const bool fused = n->op == PhysOp::kFusedProjectFilter;
-          const BatchPredicate& bp = *I.stage_preds[si];
-          const size_t arity =
-              fused ? n->left->attrs.size() : n->attrs.size();
-          I.gather.Gather(I.buf, 0, I.buf.size(), bp.referenced(), arity,
-                          &I.colbatch);
+          const BatchPredicate& bp = *n->batch_pred;
+          I.gather.Gather(I.buf, 0, I.buf.size(), bp.referenced(),
+                          n->left->attrs.size(), &I.colbatch);
           I.sel.clear();
           bp.SelectTrue(I.colbatch, &I.scratch, &I.sel);
           size_t w = 0;
@@ -284,77 +274,18 @@ bool Cursor::Next() {
   if (!impl_) return false;
   Impl& I = *impl_;
   if (!I.status.ok()) return false;
-  if (I.batch > 0 && !I.stages.empty()) {
-    for (;;) {
-      if (I.buf_pos >= I.buf.size()) {
-        Status rst = RefillBatch(I);
-        if (!rst.ok()) {
-          I.status = std::move(rst);
-          return false;
-        }
-        if (I.buf_pos >= I.buf.size()) return false;  // base drained
-      }
-      Tuple t = std::move(I.buf[I.buf_pos].first);
-      uint64_t c = I.buf[I.buf_pos].second;
-      ++I.buf_pos;
-      if (I.dedup) {
-        if (!I.seen.insert(t).second) continue;
-        c = 1;
-      }
-      if (++I.emitted > I.max_tuples) {
-        StatusDetail d;
-        d.budget_used = I.emitted;
-        d.budget_limit = I.max_tuples;
-        I.status = Status::ResourceExhausted(
-                       "cursor stream exceeded max_tuples=" +
-                       std::to_string(I.max_tuples))
-                       .WithDetail(std::move(d));
+  for (;;) {
+    if (I.buf_pos >= I.buf.size()) {
+      Status rst = RefillBatch(I);
+      if (!rst.ok()) {
+        I.status = std::move(rst);
         return false;
       }
-      I.current = std::move(t);
-      I.current_count = c;
-      return true;
+      if (I.buf_pos >= I.buf.size()) return false;  // base drained
     }
-  }
-  const std::vector<Relation::Row>& rows = I.base.rows();
-  while (I.next_row < rows.size()) {
-    if (I.limited && ++I.visited >= kCursorCheckInterval) {
-      I.visited = 0;
-      Status cst = I.ctx.Check();
-      if (!cst.ok()) {
-        I.status = std::move(cst);
-        return false;
-      }
-    }
-    Tuple t = rows[I.next_row].first;
-    uint64_t c = rows[I.next_row].second;
-    ++I.next_row;
-    bool keep = true;
-    for (size_t si = I.stages.size(); keep && si-- > 0;) {
-      const PhysNode* n = I.stages[si];
-      switch (n->op) {
-        case PhysOp::kFilterSel:
-          keep = n->pred(t) == TV3::kT;
-          break;
-        case PhysOp::kFusedProjectFilter:
-          keep = n->pred(t) == TV3::kT;
-          if (keep) t = t.Project(n->proj_pos);
-          break;
-        case PhysOp::kProject:
-          t = t.Project(n->proj_pos);
-          break;
-        case PhysOp::kRename:
-          break;  // positional: nothing to do per row
-        case PhysOp::kDistinct:
-          keep = I.distinct_seen[si].insert(t).second;
-          c = 1;
-          break;
-        default:
-          keep = false;  // unreachable: OpenCursor only chains the above
-          break;
-      }
-    }
-    if (!keep) continue;
+    Tuple t = std::move(I.buf[I.buf_pos].first);
+    uint64_t c = I.buf[I.buf_pos].second;
+    ++I.buf_pos;
     if (I.dedup) {
       if (!I.seen.insert(t).second) continue;
       c = 1;
@@ -373,7 +304,6 @@ bool Cursor::Next() {
     I.current_count = c;
     return true;
   }
-  return false;
 }
 
 const Status& Cursor::status() const {
@@ -571,32 +501,6 @@ StatusOr<Cursor> PreparedQuery::OpenCursor(const std::vector<Value>& params,
     cur = cur->left;
   }
   impl->distinct_seen.resize(impl->stages.size());
-
-  // Compile the columnar program for every predicate stage up front; any
-  // failure (cannot happen for plans CompileCond accepted, but cheap to
-  // guard) falls back to the scalar row-at-a-time drain.
-  impl->batch = impl->plan->opts.batch_size;
-  if (impl->batch > 0 && !impl->stages.empty()) {
-    const CondMode cmode = impl->plan->mode == EvalMode::kSetSql
-                               ? CondMode::kSql
-                               : CondMode::kNaive;
-    impl->stage_preds.resize(impl->stages.size());
-    for (size_t si = 0; si < impl->stages.size(); ++si) {
-      const PhysNode* n = impl->stages[si];
-      if (n->op != PhysOp::kFilterSel &&
-          n->op != PhysOp::kFusedProjectFilter) {
-        continue;
-      }
-      const std::vector<std::string>& in_attrs =
-          n->op == PhysOp::kFilterSel ? n->attrs : n->left->attrs;
-      auto bp = BatchPredicate::Make(n->cond, in_attrs, cmode);
-      if (!bp.ok()) {
-        impl->batch = 0;
-        break;
-      }
-      impl->stage_preds[si] = std::make_unique<BatchPredicate>(std::move(*bp));
-    }
-  }
 
   if (cur->op == PhysOp::kScanView) {
     // The whole chain bottoms out at a base relation: borrow it in place

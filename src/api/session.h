@@ -185,7 +185,7 @@ class PreparedQuery {
   StatusOr<Cursor> OpenCursor(const std::vector<Value>& params,
                               const ExecContext& ctx) const;
 
-  /// Human-readable plan report: the algebra, the physical operator DAG
+  /// Human-readable plan report: the algebra, the physical operator tree
   /// (PlanToString), per-operator counts (CountOps) and the session's
   /// plan-cache statistics.
   std::string Explain() const;

@@ -63,7 +63,7 @@ class CancelToken {
 /// \brief Per-execution limits: wall-clock deadline, cancellation token
 /// and a soft memory budget (approximate bytes of produced tuples).
 ///
-/// Cheap to copy (one shared_ptr refcount). Thread-compatible: workers
+/// Cheap to copy (one shared_ptr copy). Thread-compatible: workers
 /// only read it, and the CancelToken flag is atomic.
 struct ExecContext {
   /// Absolute wall-clock deadline (only meaningful if has_deadline).

@@ -151,8 +151,8 @@ size_t IndexOf(const std::vector<std::string>& attrs, const std::string& name);
 /// Physical operators exchange RelationViews: leaf scans *borrow* the
 /// database's relation in place (no row is copied), while operators that
 /// materialise output *own* their result through a shared pointer, which
-/// makes views cheap to pass around and to memoise for plan DAGs. A
-/// borrowed view must not outlive the relation it points into. Renaming
+/// makes views cheap to pass around and to memoise. A borrowed view must
+/// not outlive the relation it points into. Renaming
 /// wraps the same rows with replacement attribute names, so renames of
 /// borrowed scans stay copy-free too.
 class RelationView {

@@ -5,16 +5,18 @@
 /// \brief Columnar chunk representation for the vectorized executor
 /// (MonetDB/X100 style).
 ///
-/// Relations store flat rows (core/relation.h); the batched operator paths
-/// of eval/exec.cpp transpose the columns a predicate actually touches into
+/// Relations store flat rows (core/relation.h); the operator loops of
+/// eval/exec.cpp transpose the columns a predicate actually touches into
 /// contiguous `Value` runs of EvalOptions::batch_size rows, evaluate the
 /// condition program column-at-a-time into a selection vector, and gather
-/// the surviving rows from the original row storage. Batching is a pure
-/// execution-layer change: the selected rows, their order and their
-/// multiplicities are bit-identical to the tuple-at-a-time interpreter —
-/// the atom truth values are shared (CondEqTV / CondOrderTV in
-/// algebra/condition.h) and the Kleene connectives are branchless min/max
-/// over the f < u < t truth order (logic/kleene.cpp).
+/// the surviving rows from the original row storage. The window size is a
+/// pure execution-layer setting: the selected rows, their order and their
+/// multiplicities are bit-identical at every batch size and agree with
+/// the scalar per-pair predicate (CompileCond) — the atom truth values are
+/// shared (CondEqTV / CondOrderTV in algebra/condition.h) and the Kleene
+/// connectives are branchless min/max over the f < u < t truth order
+/// (logic/kleene.cpp). The plan compiler (eval/plan.cpp) is the one place
+/// that builds these programs; plan nodes carry them.
 
 #include <cstdint>
 #include <vector>

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -24,11 +23,6 @@
 namespace incdb {
 
 namespace {
-
-/// Mirror of the plan compiler's EvalMode → CondMode mapping.
-CondMode DeltaCondMode(EvalMode m) {
-  return m == EvalMode::kSetSql ? CondMode::kSql : CondMode::kNaive;
-}
 
 class DeltaPropagator {
  public:
@@ -78,19 +72,7 @@ class DeltaPropagator {
     return &values_.emplace(key, std::move(v)).first->second;
   }
 
-  StatusOr<RelationDelta> Delta(const PhysPtr& n) {
-    auto rc = plan_->refcount.find(n.get());
-    const bool shared = rc != plan_->refcount.end() && rc->second > 1;
-    if (shared) {
-      auto it = memo_.find(n.get());
-      if (it != memo_.end()) return it->second;
-    }
-    auto out = DeltaNode(n);
-    if (out.ok() && shared) memo_.emplace(n.get(), *out);
-    return out;
-  }
-
-  StatusOr<RelationDelta> DeltaNode(const PhysPtr& np) {
+  StatusOr<RelationDelta> Delta(const PhysPtr& np) {
     const PhysNode& n = *np;
     if (!Affected(np)) {
       return RelationDelta{Relation(n.attrs), Relation(n.attrs)};
@@ -167,57 +149,34 @@ class DeltaPropagator {
     return out;
   }
 
-  /// σ over the delta rows: the batch predicate program sweeps the delta
-  /// in batch_size windows exactly like the executor sweeps base rows
-  /// (scalar fallback when batching is off). Counts pass through; the
-  /// fused projection collapses under set semantics like the executor.
+  /// σ over the delta rows: the node's columnar program sweeps the delta
+  /// in batch_size windows exactly like the executor sweeps base rows.
+  /// Counts pass through; the fused projection collapses under set
+  /// semantics like the executor.
   StatusOr<RelationDelta> FilterDelta(const PhysNode& n, bool fused) {
     auto child = Delta(n.left);
     if (!child.ok()) return child;
     RelationDelta out{Relation(n.attrs), Relation(n.attrs)};
-    const std::vector<std::string>& in_attrs = fused ? n.left->attrs : n.attrs;
-    std::optional<BatchPredicate> compiled;
-    if (plan_->opts.batch_size > 0) {
-      auto made =
-          BatchPredicate::Make(n.cond, in_attrs, DeltaCondMode(plan_->mode));
-      if (!made.ok()) return made.status();
-      compiled = std::move(*made);
-    }
-    const BatchPredicate* bp = compiled ? &*compiled : nullptr;
+    INCDB_RETURN_IF_ERROR(FilterInto(n, fused, child->plus.rows(), &out.plus));
     INCDB_RETURN_IF_ERROR(
-        FilterInto(n, fused, bp, in_attrs, child->plus.rows(), &out.plus));
-    INCDB_RETURN_IF_ERROR(
-        FilterInto(n, fused, bp, in_attrs, child->minus.rows(), &out.minus));
+        FilterInto(n, fused, child->minus.rows(), &out.minus));
     if (fused && set()) out.plus.CollapseCounts();
     return out;
   }
 
-  Status FilterInto(const PhysNode& n, bool fused, const BatchPredicate* bp,
-                    const std::vector<std::string>& in_attrs,
+  Status FilterInto(const PhysNode& n, bool fused,
                     const std::vector<Relation::Row>& rows, Relation* out) {
+    const BatchPredicate& bp = *n.batch_pred;
+    const size_t bs = plan_->opts.batch_size;
     Tuple scratch;
-    if (bp != nullptr) {
-      const size_t bs = plan_->opts.batch_size;
-      for (size_t begin = 0; begin < rows.size(); begin += bs) {
-        const size_t end = std::min(rows.size(), begin + bs);
-        gather_.Gather(rows, begin, end, bp->referenced(), in_attrs.size(),
-                       &batch_);
-        sel_.clear();
-        bp->SelectTrue(batch_, &bp_scratch_, &sel_);
-        for (uint32_t i : sel_) {
-          const auto& [t, c] = rows[begin + i];
-          if (fused) {
-            scratch.AssignProject(t, n.proj_pos);
-            INCDB_RETURN_IF_ERROR(out->Insert(scratch, c));
-          } else {
-            INCDB_RETURN_IF_ERROR(out->Insert(t, c));
-          }
-        }
-      }
-      return Status::OK();
-    }
-    for (const auto& [t, c] : rows) {
-      if (n.pred(t) == TV3::kT) {
+    for (size_t begin = 0; begin < rows.size(); begin += bs) {
+      const size_t end = std::min(rows.size(), begin + bs);
+      gather_.Gather(rows, begin, end, bp.referenced(), n.left->attrs.size(),
+                     &batch_);
+      sel_.clear();
+      bp.SelectTrue(batch_, &bp_scratch_, &sel_);
+      for (uint32_t i : sel_) {
+        const auto& [t, c] = rows[begin + i];
         if (fused) {
           scratch.AssignProject(t, n.proj_pos);
           INCDB_RETURN_IF_ERROR(out->Insert(scratch, c));
@@ -367,7 +326,6 @@ class DeltaPropagator {
   ScanResolver pre_scans_;
   ScanResolver post_scans_;
   std::unordered_map<const PhysNode*, bool> affected_;
-  std::unordered_map<const PhysNode*, RelationDelta> memo_;
   /// (node, post?) → boundary value; untouched subtrees share the pre key.
   std::map<std::pair<const void*, bool>, RelationView> values_;
   BatchGather gather_;

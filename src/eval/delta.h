@@ -3,7 +3,7 @@
 
 /// \file delta.h
 /// \brief Incremental result maintenance: row-level deltas propagated
-/// bottom-up through a compiled plan DAG (Gupta–Mumick delta rules).
+/// bottom-up through a compiled plan tree (Gupta–Mumick delta rules).
 ///
 /// Given the boundary snapshots and per-relation row-level deltas of one
 /// commit (Database::Commit's CommitInfo), PropagateDelta computes the
@@ -11,7 +11,7 @@
 /// delta (times the unchanged join sides), not the data:
 ///
 ///   scan           Δ = the base relation's commit delta
-///   σ / fused π∘σ  Δ = σ(Δchild)        (batch predicates over Δ windows)
+///   σ / fused π∘σ  Δ = σ(Δchild)        (the node's columnar program)
 ///   π, ρ           Δ = π(Δchild)
 ///   ∪              Δ = Δleft + Δright
 ///   ⋈              Δ = ΔL ⋈ R_new + L_old ⋈ ΔR    (join bilinearity)
@@ -21,8 +21,7 @@
 /// inserted base row can only add result tuples — a set-level deletion
 /// aborts propagation and the caller falls back to invalidation. Old/new
 /// join inputs are re-evaluated lazily (only when the opposite side's
-/// delta is non-empty) against the pinned boundary snapshots, and shared
-/// DAG nodes are propagated once.
+/// delta is non-empty) against the pinned boundary snapshots.
 ///
 /// Plan::maintainable (set at compile time) gates entry: difference,
 /// intersection, division, semijoins, distinct, Dom and c-table plans are

@@ -26,9 +26,10 @@
 /// Since the physical-plan layer (eval/plan.h) these entry points are thin
 /// wrappers: the algebra tree is first *compiled* into a physical plan
 /// (join strategy, conjunct splitting, projection fusion and the other
-/// rewrites below are decided once), then the plan is *executed* against
-/// the database. Callers that evaluate one query repeatedly can Compile()
-/// once and Execute() many times.
+/// rewrites below are decided once, and every condition is compiled into
+/// its columnar program), then the plan is *executed* against the
+/// database by one vectorized loop per operator. Callers that evaluate one
+/// query repeatedly can Compile() once and Execute() many times.
 
 #include "algebra/algebra.h"
 #include "core/database.h"
@@ -58,11 +59,6 @@ struct EvalOptions {
   /// none, the null-aware UnifyJoin on a θ* = (a = b ∨ null(a) ∨ null(b))
   /// conjunct — the Fig. 2(b) σ?-rule's image of a join equality.
   bool enable_hash_join = true;
-  /// σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r) under set semantics for
-  /// join conditions with no hashable key. The σ?-rule's θ* joins take
-  /// the UnifyJoin instead (enable_hash_join); this pass remains for other
-  /// disjunctions.
-  bool enable_or_expansion = true;
   /// π(σ(l×r)) projects at emit time instead of materialising pairs.
   bool enable_projection_fusion = true;
   /// Null-mask index for ⋉⇑ probes (vs quadratic unifiability scans).
@@ -87,13 +83,14 @@ struct EvalOptions {
   /// across the pool — below it, threading overhead dominates. Tests set
   /// this to 0 to force the parallel paths on tiny inputs.
   size_t parallel_min_rows = 1024;
-  /// Rows per columnar chunk of the vectorized operator paths
+  /// Rows per columnar chunk of the vectorized operator loops
   /// (eval/batch.h): filters and the join probe loops transpose this many
   /// rows at a time, evaluate the condition program column-wise into a
   /// selection vector, and fire deadline/cancel checkpoints once per
-  /// batch. 0 runs the legacy tuple-at-a-time interpreter. Never changes
-  /// results — rows, order and multiplicities are bit-identical at every
-  /// batch size (the differential fuzzer crosses 0/1/3/1024).
+  /// batch. 1 is the row-at-a-time cadence; 0 resolves to 1 at plan-compile
+  /// time (ResolveBatchSize in eval/plan.h). Never changes results — rows,
+  /// order and multiplicities are bit-identical at every batch size (the
+  /// differential fuzzer crosses 1/3/1024).
   size_t batch_size = 1024;
   /// Serve EvalSet/EvalBag/EvalSql compilations from the process-wide
   /// query-identity plan cache (eval/plan_cache.h) instead of recompiling

@@ -208,7 +208,7 @@ class Executor {
     return RunNode(plan_.root);
   }
 
-  /// Evaluates an arbitrary node of the plan's DAG and materialises it.
+  /// Evaluates an arbitrary node of the plan's tree and materialises it.
   StatusOr<Relation> RunNode(const PhysPtr& node) {
     auto out = Eval(node);
     if (!out.ok()) return out.status();
@@ -270,35 +270,8 @@ class Executor {
                                       op);
   }
 
-  /// Rows per columnar chunk; 0 = tuple-at-a-time interpreter.
+  /// Rows per columnar chunk (resolved at compile time: never 0).
   size_t batch_size() const { return plan_.opts.batch_size; }
-
-  /// Lazily compiles `n.cond` into the columnar predicate program against
-  /// the same input schema and CondMode the scalar `n.pred` was compiled
-  /// with (plan.cpp AttachCond), so the two evaluators agree bit-for-bit.
-  /// Returns nullptr (caller falls back to the scalar path) if the
-  /// condition cannot be compiled — unreachable in practice, since
-  /// CompileCond already succeeded against the same schema at plan time.
-  /// NOT thread-safe: compile before dispatching pool workers.
-  const BatchPredicate* BatchPredFor(const PhysNode& n,
-                                     const std::vector<std::string>& attrs) {
-    auto it = batch_preds_.find(&n);
-    if (it != batch_preds_.end()) return it->second.get();
-    const CondMode mode = sql_mode() ? CondMode::kSql : CondMode::kNaive;
-    auto bp = BatchPredicate::Make(n.cond, attrs, mode);
-    std::unique_ptr<BatchPredicate> owned;
-    if (bp.ok()) owned = std::make_unique<BatchPredicate>(std::move(*bp));
-    return batch_preds_.emplace(&n, std::move(owned))
-        .first->second.get();
-  }
-
-  /// The joint (left·right) input schema a join's residual predicate was
-  /// compiled against.
-  std::vector<std::string> JointAttrs(const PhysNode& n) const {
-    std::vector<std::string> joint = n.left->attrs;
-    joint.insert(joint.end(), n.right->attrs.begin(), n.right->attrs.end());
-    return joint;
-  }
 
   /// Runs fn(0) .. fn(P-1) on the pool. The partition count P is the
   /// determinism contract; the worker count is an execution resource,
@@ -372,21 +345,9 @@ class Executor {
     return RelationView::Own(std::move(out));
   }
 
-  StatusOr<RelationView> Eval(const PhysPtr& n) {
-    // OR-expansion branches share their inputs; evaluate those once.
-    auto rc = plan_.refcount.find(n.get());
-    const bool shared = rc != plan_.refcount.end() && rc->second > 1;
-    if (shared) {
-      auto it = memo_.find(n.get());
-      if (it != memo_.end()) return it->second;
-    }
-    auto out = EvalNode(*n);
-    if (out.ok() && shared) memo_.emplace(n.get(), *out);
-    return out;
-  }
-
-  StatusOr<RelationView> EvalNode(const PhysNode& n) {
+  StatusOr<RelationView> Eval(const PhysPtr& np) {
     INCDB_FAULT_POINT("exec.node");
+    const PhysNode& n = *np;
     switch (n.op) {
       case PhysOp::kScanView:
         return scans_.Resolve(n.rel_name, set_semantics());
@@ -436,55 +397,36 @@ class Executor {
     return Status::Internal("unknown physical operator");
   }
 
-  /// Shared body of the selection operators. In batched mode the input is
-  /// swept in batch_size windows: only the predicate-referenced columns
-  /// are transposed, the condition program runs column-wise into a
-  /// selection vector, and the selected rows are gathered from the
-  /// original row storage (projected through proj_pos when `fused`).
-  /// Checkpoints fire once per batch. The tuple-at-a-time fallback is
-  /// row-for-row identical.
+  /// Shared body of the selection operators. The input is swept in
+  /// batch_size windows: only the predicate-referenced columns are
+  /// transposed, the node's columnar program runs into a selection vector,
+  /// and the selected rows are gathered from the original row storage
+  /// (projected through proj_pos when `fused`). Checkpoints fire once per
+  /// window.
   StatusOr<RelationView> EvalFilterLike(const PhysNode& n, bool fused) {
     auto in = Eval(n.left);
     if (!in.ok()) return in;
     const std::vector<Relation::Row>& rows = in->rows();
-    // The predicate was compiled against the operator's input schema:
-    // n.attrs for a plain σ (schema-preserving), the child schema for the
-    // fused π∘σ.
-    const std::vector<std::string>& in_attrs =
-        fused ? n.left->attrs : n.attrs;
-    const BatchPredicate* bp =
-        batch_size() > 0 ? BatchPredFor(n, in_attrs) : nullptr;
+    const BatchPredicate& bp = *n.batch_pred;
+    // The program was compiled against the operator's input schema: n.attrs
+    // for a plain σ (schema-preserving), the child schema for the fused π∘σ.
+    const size_t in_arity = n.left->attrs.size();
     Relation out(n.attrs);
     out.Reserve(rows.size());
     Tuple scratch;
-    if (bp != nullptr) {
-      for (size_t begin = 0; begin < rows.size(); begin += batch_size()) {
-        const size_t end = std::min(rows.size(), begin + batch_size());
-        INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-        gather_.Gather(rows, begin, end, bp->referenced(), in_attrs.size(),
-                       &batch_);
-        sel_.clear();
-        bp->SelectTrue(batch_, &bp_scratch_, &sel_);
-        for (uint32_t i : sel_) {
-          const auto& [t, c] = rows[begin + i];
-          if (fused) {
-            scratch.AssignProject(t, n.proj_pos);
-            INCDB_RETURN_IF_ERROR(out.Insert(scratch, c));
-          } else {
-            INCDB_RETURN_IF_ERROR(out.Insert(t, c));
-          }
-        }
-      }
-    } else {
-      for (const auto& [t, c] : rows) {
-        INCDB_RETURN_IF_ERROR(Checkpoint());
-        if (n.pred(t) == TV3::kT) {
-          if (fused) {
-            scratch.AssignProject(t, n.proj_pos);
-            INCDB_RETURN_IF_ERROR(out.Insert(scratch, c));
-          } else {
-            INCDB_RETURN_IF_ERROR(out.Insert(t, c));
-          }
+    for (size_t begin = 0; begin < rows.size(); begin += batch_size()) {
+      const size_t end = std::min(rows.size(), begin + batch_size());
+      INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
+      gather_.Gather(rows, begin, end, bp.referenced(), in_arity, &batch_);
+      sel_.clear();
+      bp.SelectTrue(batch_, &bp_scratch_, &sel_);
+      for (uint32_t i : sel_) {
+        const auto& [t, c] = rows[begin + i];
+        if (fused) {
+          scratch.AssignProject(t, n.proj_pos);
+          INCDB_RETURN_IF_ERROR(out.Insert(scratch, c));
+        } else {
+          INCDB_RETURN_IF_ERROR(out.Insert(t, c));
         }
       }
     }
@@ -508,23 +450,14 @@ class Executor {
     Relation out(n.attrs);
     out.Reserve(rows.size());
     Tuple scratch;
-    if (batch_size() > 0) {
-      // Projection is a pure column shuffle — no predicate runs, so the
-      // batched path just lifts the checkpoint to batch granularity and
-      // emits the shuffled rows directly.
-      for (size_t begin = 0; begin < rows.size(); begin += batch_size()) {
-        const size_t end = std::min(rows.size(), begin + batch_size());
-        INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-        for (size_t i = begin; i < end; ++i) {
-          scratch.AssignProject(rows[i].first, n.proj_pos);
-          INCDB_RETURN_IF_ERROR(out.Insert(scratch, rows[i].second));
-        }
-      }
-    } else {
-      for (const auto& [t, c] : rows) {
-        INCDB_RETURN_IF_ERROR(Checkpoint());
-        scratch.AssignProject(t, n.proj_pos);
-        INCDB_RETURN_IF_ERROR(out.Insert(scratch, c));
+    // Projection is a pure column shuffle — no predicate runs, so the
+    // window only sets the checkpoint cadence.
+    for (size_t begin = 0; begin < rows.size(); begin += batch_size()) {
+      const size_t end = std::min(rows.size(), begin + batch_size());
+      INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
+      for (size_t i = begin; i < end; ++i) {
+        scratch.AssignProject(rows[i].first, n.proj_pos);
+        INCDB_RETURN_IF_ERROR(out.Insert(scratch, rows[i].second));
       }
     }
     INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
@@ -618,11 +551,10 @@ class Executor {
       INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
       return RelationView::Own(std::move(out));
     }
-    // Sequential probe loop; in batched mode checkpoints lift to batch
-    // granularity (the probes themselves are already one hash lookup).
-    const size_t W = batch_size() > 0 ? batch_size() : 1;
-    for (size_t begin = 0; begin < lrows.size(); begin += W) {
-      const size_t end = std::min(lrows.size(), begin + W);
+    // Sequential probe loop; checkpoints fire once per window (the probes
+    // themselves are already one hash lookup).
+    for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
+      const size_t end = std::min(lrows.size(), begin + batch_size());
       INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
       for (size_t i = begin; i < end; ++i) {
         const auto& [t, c] = lrows[i];
@@ -729,10 +661,9 @@ class Executor {
       return RelationView::Own(std::move(out));
     }
     Tuple scratch;
-    // Batched mode lifts checkpoints to batch granularity over the probes.
-    const size_t W = batch_size() > 0 ? batch_size() : 1;
-    for (size_t begin = 0; begin < lrows.size(); begin += W) {
-      const size_t end = std::min(lrows.size(), begin + W);
+    // Checkpoints fire once per window of probes.
+    for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
+      const size_t end = std::min(lrows.size(), begin + batch_size());
       INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
       for (size_t i = begin; i < end; ++i) {
         const auto& [t, c] = lrows[i];
@@ -831,13 +762,12 @@ class Executor {
 
     Relation out(n.attrs);
     // Checkpoint weight follows the work: the un-hashed fallback scans the
-    // whole right side per left row. Batched mode probes the index
-    // batch-at-a-time, checkpointing once per window.
+    // whole right side per left row. The index is probed window-at-a-time,
+    // checkpointing once per window.
     const uint64_t probe_weight = hashed ? 1 : 1 + r->rows().size();
     const std::vector<Relation::Row>& probe_lrows = l->rows();
-    const size_t W = batch_size() > 0 ? batch_size() : 1;
-    for (size_t begin = 0; begin < probe_lrows.size(); begin += W) {
-      const size_t end = std::min(probe_lrows.size(), begin + W);
+    for (size_t begin = 0; begin < probe_lrows.size(); begin += batch_size()) {
+      const size_t end = std::min(probe_lrows.size(), begin + batch_size());
       INCDB_RETURN_IF_ERROR(Checkpoint(probe_weight * (end - begin)));
       for (size_t i = begin; i < end; ++i) {
         const auto& [lt, lc] = probe_lrows[i];
@@ -888,13 +818,13 @@ class Executor {
 
     Relation out(n.attrs);
     Tuple lkey, rkey, joint_t;  // scratch, reused across rows and pairs
-    // The correlated path re-scans the right side per left row. Batched
-    // mode checkpoints once per window of left rows.
+    // The correlated path re-scans the right side per left row.
+    // Checkpoints fire once per window of left rows.
     const uint64_t row_weight = n.correlated ? 1 + r->rows().size() : 1;
     const std::vector<Relation::Row>& in_lrows = l->rows();
-    const size_t W = batch_size() > 0 ? batch_size() : 1;
-    for (size_t wbegin = 0; wbegin < in_lrows.size(); wbegin += W) {
-      const size_t wend = std::min(in_lrows.size(), wbegin + W);
+    for (size_t wbegin = 0; wbegin < in_lrows.size();
+         wbegin += batch_size()) {
+      const size_t wend = std::min(in_lrows.size(), wbegin + batch_size());
       INCDB_RETURN_IF_ERROR(Checkpoint(row_weight * (wend - wbegin)));
       for (size_t wi = wbegin; wi < wend; ++wi) {
       const auto& [lt, lc] = in_lrows[wi];
@@ -1003,30 +933,19 @@ class Executor {
     }
 
     Relation out(n.attrs);
-    // Scratch tuples reused across every pair: the hot loop below performs
+    // Scratch tuples reused across every pair: the hot loops below perform
     // no allocations except inserting kept tuples into `out`.
     Tuple joint, projected;
-    auto emit = [&](const Tuple& lt, uint64_t lc, const Tuple& rt,
-                    uint64_t rc) -> Status {
-      // Every visited pair counts one checkpoint unit — the deadline fires
-      // within a few thousand pairs even when nothing matches.
-      INCDB_RETURN_IF_ERROR(Checkpoint());
-      // With SQL-mode equality, a null join key never compares t; with
-      // naive equality the hash join already used syntactic equality. The
-      // residual condition is checked in the active mode.
-      joint.AssignConcat(lt, rt);
-      if (n.pred(joint) == TV3::kT) {
-        uint64_t c = set ? 1 : lc * rc;
-        if (has_proj) {
-          projected.AssignProject(joint, n.proj_pos);
-          INCDB_RETURN_IF_ERROR(out.Insert(projected, c));
-        } else {
-          // Pairs of distinct rows are distinct: no duplicate probe.
-          INCDB_RETURN_IF_ERROR(out.InsertUnique(joint, c));
-        }
-        INCDB_RETURN_IF_ERROR(Budget(c, n.attrs.size()));
+    // Emits the pair assembled in `joint` with multiplicity `c`.
+    auto emit_joint = [&](uint64_t c) -> Status {
+      if (has_proj) {
+        projected.AssignProject(joint, n.proj_pos);
+        INCDB_RETURN_IF_ERROR(out.Insert(projected, c));
+      } else {
+        // Pairs of distinct rows are distinct: no duplicate probe.
+        INCDB_RETURN_IF_ERROR(out.InsertUnique(joint, c));
       }
-      return Status::OK();
+      return Budget(c, n.attrs.size());
     };
 
     // With a projection under set semantics, distinct pairs may collapse;
@@ -1042,42 +961,25 @@ class Executor {
       if (UseChunkParallelism(l->rows().size(), pairs, ChunkOp::kNLJoin)) {
         return ParallelNLJoin(n, *l, *r);
       }
-      const BatchPredicate* bp =
-          batch_size() > 0 ? BatchPredFor(n, JointAttrs(n)) : nullptr;
-      if (bp != nullptr) {
-        // Vectorized sweep: the condition program runs over windows of
-        // right rows with the left tuple broadcast, and only the selected
-        // pairs are concatenated and inserted — same pairs, same order,
-        // same multiplicities as the scalar loop below.
-        const std::vector<Relation::Row>& lrows = l->rows();
-        const std::vector<Relation::Row>& rrows = r->rows();
-        NLBatcher nb(*bp, rrows, n.left_arity, n.left_arity + r->arity());
-        for (const auto& [lt, lc] : lrows) {
-          for (size_t begin = 0; begin < rrows.size();
-               begin += batch_size()) {
-            const size_t end = std::min(rrows.size(), begin + batch_size());
-            INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-            sel_.clear();
-            nb.Select(lt, begin, end, &bp_scratch_, &sel_);
-            for (uint32_t si : sel_) {
-              const auto& [rt, rc] = rrows[begin + si];
-              joint.AssignConcat(lt, rt);
-              uint64_t c = set ? 1 : lc * rc;
-              if (has_proj) {
-                projected.AssignProject(joint, n.proj_pos);
-                INCDB_RETURN_IF_ERROR(out.Insert(projected, c));
-              } else {
-                INCDB_RETURN_IF_ERROR(out.InsertUnique(joint, c));
-              }
-              INCDB_RETURN_IF_ERROR(Budget(c, n.attrs.size()));
-            }
+      // Vectorized sweep: the condition program runs over windows of right
+      // rows with the left tuple broadcast, and only the selected pairs are
+      // concatenated and inserted. Every visited pair counts one checkpoint
+      // unit, so the deadline fires even when nothing matches.
+      const std::vector<Relation::Row>& lrows = l->rows();
+      const std::vector<Relation::Row>& rrows = r->rows();
+      NLBatcher nb(*n.batch_pred, rrows, n.left_arity,
+                   n.left_arity + r->arity());
+      for (const auto& [lt, lc] : lrows) {
+        for (size_t begin = 0; begin < rrows.size(); begin += batch_size()) {
+          const size_t end = std::min(rrows.size(), begin + batch_size());
+          INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
+          sel_.clear();
+          nb.Select(lt, begin, end, &bp_scratch_, &sel_);
+          for (uint32_t si : sel_) {
+            const auto& [rt, rc] = rrows[begin + si];
+            joint.AssignConcat(lt, rt);
+            INCDB_RETURN_IF_ERROR(emit_joint(set ? 1 : lc * rc));
           }
-        }
-        return finish();
-      }
-      for (const auto& [lt, lc] : l->rows()) {
-        for (const auto& [rt, rc] : r->rows()) {
-          INCDB_RETURN_IF_ERROR(emit(lt, lc, rt, rc));
         }
       }
       return finish();
@@ -1110,60 +1012,31 @@ class Executor {
       if (sql_mode() && key.HasNull()) continue;
       index[key].push_back(i);
     }
-    if (batch_size() > 0) {
-      // Batch-at-a-time probing: the probe side is swept in batch_size
-      // windows with one checkpoint per window (plus one per match run),
-      // and a trivial residual (θ = true) skips the per-pair predicate
-      // call entirely — every equi-join pair already matched by key.
-      const bool trivial = n.cond->kind == CondKind::kTrue;
-      auto emit_batched = [&](const Tuple& lt, uint64_t lc, const Tuple& rt,
-                              uint64_t rc) -> Status {
-        joint.AssignConcat(lt, rt);
-        if (!trivial && n.pred(joint) != TV3::kT) return Status::OK();
-        uint64_t c = set ? 1 : lc * rc;
-        if (has_proj) {
-          projected.AssignProject(joint, n.proj_pos);
-          INCDB_RETURN_IF_ERROR(out.Insert(projected, c));
-        } else {
-          INCDB_RETURN_IF_ERROR(out.InsertUnique(joint, c));
-        }
-        return Budget(c, n.attrs.size());
-      };
-      for (size_t begin = 0; begin < probe_rows.size();
-           begin += batch_size()) {
-        const size_t end = std::min(probe_rows.size(), begin + batch_size());
-        INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-        for (size_t pi = begin; pi < end; ++pi) {
-          const auto& [pt, pc] = probe_rows[pi];
-          key.AssignProject(pt, probe_keys);
-          if (sql_mode() && key.HasNull()) continue;
-          auto it = index.find(key);
-          if (it == index.end()) continue;
-          INCDB_RETURN_IF_ERROR(Checkpoint(it->second.size()));
-          for (uint32_t bi : it->second) {
-            const auto& [bt, bc] = build_rows[bi];
-            if (build_left) {
-              INCDB_RETURN_IF_ERROR(emit_batched(bt, bc, pt, pc));
-            } else {
-              INCDB_RETURN_IF_ERROR(emit_batched(pt, pc, bt, bc));
-            }
+    // Window-at-a-time probing: the probe side is swept in batch_size
+    // windows with one checkpoint per window (plus one per match run). With
+    // naive equality the key match is syntactic; the residual condition is
+    // checked per pair in the active mode, and a trivial residual (θ = true)
+    // skips the predicate call entirely.
+    const bool trivial = n.cond->kind == CondKind::kTrue;
+    for (size_t begin = 0; begin < probe_rows.size(); begin += batch_size()) {
+      const size_t end = std::min(probe_rows.size(), begin + batch_size());
+      INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
+      for (size_t pi = begin; pi < end; ++pi) {
+        const auto& [pt, pc] = probe_rows[pi];
+        key.AssignProject(pt, probe_keys);
+        if (sql_mode() && key.HasNull()) continue;
+        auto it = index.find(key);
+        if (it == index.end()) continue;
+        INCDB_RETURN_IF_ERROR(Checkpoint(it->second.size()));
+        for (uint32_t bi : it->second) {
+          const auto& [bt, bc] = build_rows[bi];
+          if (build_left) {
+            joint.AssignConcat(bt, pt);
+          } else {
+            joint.AssignConcat(pt, bt);
           }
-        }
-      }
-      return finish();
-    }
-    for (const auto& [pt, pc] : probe_rows) {
-      INCDB_RETURN_IF_ERROR(Checkpoint());
-      key.AssignProject(pt, probe_keys);
-      if (sql_mode() && key.HasNull()) continue;
-      auto it = index.find(key);
-      if (it == index.end()) continue;
-      for (uint32_t bi : it->second) {
-        const auto& [bt, bc] = build_rows[bi];
-        if (build_left) {
-          INCDB_RETURN_IF_ERROR(emit(bt, bc, pt, pc));
-        } else {
-          INCDB_RETURN_IF_ERROR(emit(pt, pc, bt, bc));
+          if (!trivial && n.pred(joint) != TV3::kT) continue;
+          INCDB_RETURN_IF_ERROR(emit_joint(set ? 1 : bc * pc));
         }
       }
     }
@@ -1171,7 +1044,7 @@ class Executor {
   }
 
   /// θ* join (eval/unify_join.h): one sequential loop, checkpointing per
-  /// window of max(batch_size, 1) rows and charging the budget per emitted
+  /// window of batch_size rows and charging the budget per emitted
   /// multiplicity.
   StatusOr<RelationView> EvalUnifyJoin(const PhysNode& n) {
     auto l = Eval(n.left);
@@ -1209,12 +1082,9 @@ class Executor {
     const bool sql = sql_mode();
     const bool has_proj = n.fused_proj;
     const size_t P = plan_.opts.num_threads;
-    // Batched mode: probe lists sweep in whole batches (one cooperative
-    // check per window) and a trivial residual skips the per-pair
-    // predicate call.
-    const bool trivial =
-        batch_size() > 0 && n.cond->kind == CondKind::kTrue;
-    const size_t W = batch_size() > 0 ? batch_size() : 1;
+    // Probe lists sweep in whole windows (one cooperative check per
+    // window) and a trivial residual skips the per-pair predicate call.
+    const bool trivial = n.cond->kind == CondKind::kTrue;
 
     std::vector<std::vector<uint32_t>> build_parts(P), probe_parts(P);
     Tuple key;
@@ -1272,8 +1142,8 @@ class Executor {
         index[pkey].push_back(i);
       }
       const std::vector<uint32_t>& plist = probe_parts[p];
-      for (size_t wb = 0; wb < plist.size(); wb += W) {
-        const size_t we = std::min(plist.size(), wb + W);
+      for (size_t wb = 0; wb < plist.size(); wb += batch_size()) {
+        const size_t we = std::min(plist.size(), wb + batch_size());
         visited += we - wb;
         if (visited >= kCheckpointInterval && interrupted()) return;
         for (size_t qi = wb; qi < we; ++qi) {
@@ -1340,10 +1210,6 @@ class Executor {
     const uint64_t budget_left =
         plan_.opts.max_tuples > produced_ ? plan_.opts.max_tuples - produced_
                                           : 0;
-    // The columnar program must be compiled on this thread: the per-node
-    // cache is not synchronized, workers only read the finished program.
-    const BatchPredicate* bp =
-        batch_size() > 0 ? BatchPredFor(n, JointAttrs(n)) : nullptr;
     auto stats = RunChunks(
         lrows.size(), [&](size_t p, size_t begin, size_t end) -> Status {
           std::vector<Relation::Row>& part_out = parts[p];
@@ -1352,8 +1218,8 @@ class Executor {
           // Per-worker cooperative checkpoint on *visited* pairs (emitted
           // pairs alone would never check a selective predicate's chunk):
           // a deadline or cross-thread Cancel() stops every chunk within
-          // one interval; partial outputs are dropped by the caller. In
-          // batched mode the counter advances one whole window at a time.
+          // one interval; partial outputs are dropped by the caller. The
+          // counter advances one whole window at a time.
           uint64_t visited = 0;
           // Emits the pair currently assembled in `joint`, reporting into
           // the shared budget counter every 4096 emissions.
@@ -1379,46 +1245,31 @@ class Executor {
             }
             return Status::OK();
           };
-          if (bp != nullptr) {
-            // Each worker owns its columnar scratch; the right-side
-            // transposition is rebuilt per chunk (O(right rows), dwarfed
-            // by the pair loop it accelerates).
-            NLBatcher nb(*bp, rrows, n.left_arity, n.left_arity + r.arity());
-            BatchPredicate::Scratch scratch;
-            SelVector sel;
-            for (size_t i = begin; i < end; ++i) {
-              const auto& [lt, lc] = lrows[i];
-              for (size_t wb = 0; wb < rrows.size(); wb += batch_size()) {
-                const size_t we = std::min(rrows.size(), wb + batch_size());
-                if (limited_) {
-                  visited += we - wb;
-                  if (visited >= kCheckpointInterval) {
-                    visited = 0;
-                    INCDB_RETURN_IF_ERROR(ctx_->Check());
-                  }
-                }
-                sel.clear();
-                nb.Select(lt, wb, we, &scratch, &sel);
-                for (uint32_t si : sel) {
-                  const auto& [rt, rc] = rrows[wb + si];
-                  joint.AssignConcat(lt, rt);
-                  INCDB_RETURN_IF_ERROR(emit_joint(set ? 1 : lc * rc));
-                }
-              }
-            }
-            emitted.fetch_add(unreported, std::memory_order_relaxed);
-            return Status::OK();
-          }
+          // Each worker owns its columnar scratch over the shared program;
+          // the right-side transposition is rebuilt per chunk (O(right
+          // rows), dwarfed by the pair loop it accelerates).
+          NLBatcher nb(*n.batch_pred, rrows, n.left_arity,
+                       n.left_arity + r.arity());
+          BatchPredicate::Scratch scratch;
+          SelVector sel;
           for (size_t i = begin; i < end; ++i) {
             const auto& [lt, lc] = lrows[i];
-            for (const auto& [rt, rc] : rrows) {
-              if (limited_ && ++visited >= kCheckpointInterval) {
-                visited = 0;
-                INCDB_RETURN_IF_ERROR(ctx_->Check());
+            for (size_t wb = 0; wb < rrows.size(); wb += batch_size()) {
+              const size_t we = std::min(rrows.size(), wb + batch_size());
+              if (limited_) {
+                visited += we - wb;
+                if (visited >= kCheckpointInterval) {
+                  visited = 0;
+                  INCDB_RETURN_IF_ERROR(ctx_->Check());
+                }
               }
-              joint.AssignConcat(lt, rt);
-              if (n.pred(joint) != TV3::kT) continue;
-              INCDB_RETURN_IF_ERROR(emit_joint(set ? 1 : lc * rc));
+              sel.clear();
+              nb.Select(lt, wb, we, &scratch, &sel);
+              for (uint32_t si : sel) {
+                const auto& [rt, rc] = rrows[wb + si];
+                joint.AssignConcat(lt, rt);
+                INCDB_RETURN_IF_ERROR(emit_joint(set ? 1 : lc * rc));
+              }
             }
           }
           emitted.fetch_add(unreported, std::memory_order_relaxed);
@@ -1435,11 +1286,6 @@ class Executor {
   ScanResolver scans_;
   const ExecContext* ctx_;  // outlives the execution (held by the caller)
   const bool limited_;      // hoisted ctx_->limited(): one branch per checkpoint
-  std::unordered_map<const PhysNode*, RelationView> memo_;
-  /// Columnar predicate programs per node, compiled on first batched use
-  /// (nullptr caches a fallback to the scalar path).
-  std::unordered_map<const PhysNode*, std::unique_ptr<BatchPredicate>>
-      batch_preds_;
   // Reusable columnar buffers for the sequential batched paths (the
   // parallel paths give each worker its own).
   BatchGather gather_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "eval/verify.h"
@@ -56,9 +55,7 @@ CondMode ToCondMode(EvalMode m) {
   return m == EvalMode::kSetSql ? CondMode::kSql : CondMode::kNaive;
 }
 
-/// Extracts top-level conjuncts of a condition, dropping trivial `true`s
-/// (which would otherwise hide single-disjunction shapes from the
-/// OR-expansion pass).
+/// Extracts top-level conjuncts of a condition, dropping trivial `true`s.
 void Conjuncts(const CondPtr& c, std::vector<CondPtr>* out) {
   if (c->kind == CondKind::kAnd) {
     Conjuncts(c->left, out);
@@ -156,6 +153,22 @@ bool CondWithin(const CondPtr& c, const std::vector<std::string>& attrs) {
   return true;
 }
 
+/// Compiles `node->cond` against `attrs` into `node->pred` and, when the
+/// condition is parameter-free, `node->batch_pred` — the one compile site
+/// of both programs, shared by Compile and BindPlanParams.
+Status CompilePrograms(PhysNode* node, const std::vector<std::string>& attrs,
+                       CondMode mode) {
+  auto pred = CompileCond(node->cond, attrs, mode);
+  if (!pred.ok()) return pred.status();
+  node->pred = std::move(*pred);
+  node->batch_pred = nullptr;
+  if (CondHasParam(node->cond)) return Status::OK();
+  auto bp = BatchPredicate::Make(node->cond, attrs, mode);
+  if (!bp.ok()) return bp.status();
+  node->batch_pred = std::make_shared<const BatchPredicate>(std::move(*bp));
+  return Status::OK();
+}
+
 class Compiler {
  public:
   Compiler(EvalMode mode, const EvalOptions& opts, const Database& db,
@@ -212,26 +225,22 @@ class Compiler {
   }
 
  private:
-  bool set_semantics() const { return mode_ != EvalMode::kBagNaive; }
-
   static Status CTableUnsupported() {
     return Status::Unsupported(
         "conditional evaluation covers the core grammar + ∩; desugar "
         "the query first");
   }
 
-  /// Compiles `cond` against `attrs` into the node's predicate (validating
-  /// attribute references on the way). Parameterised conditions also
-  /// record the input schema so BindPlanParams can recompile the predicate
-  /// once the placeholders are substituted.
+  /// Compiles `cond` against `attrs` into the node's scalar predicate and
+  /// columnar program (validating attribute references on the way).
+  /// Parameterised conditions get no columnar program yet; they record the
+  /// input schema so BindPlanParams can compile both once the placeholders
+  /// are substituted.
   Status AttachCond(PhysNode* node, const CondPtr& cond,
                     const std::vector<std::string>& attrs) {
-    auto pred = CompileCond(cond, attrs, ToCondMode(mode_));
-    if (!pred.ok()) return pred.status();
     node->cond = cond;
-    node->pred = std::move(*pred);
     if (CondHasParam(cond)) node->pred_attrs = attrs;
-    return Status::OK();
+    return CompilePrograms(node, attrs, ToCondMode(mode_));
   }
 
   StatusOr<PhysPtr> CompileScan(const AlgPtr& q) {
@@ -248,7 +257,7 @@ class Compiler {
   StatusOr<PhysPtr> CompileSelect(const AlgPtr& q) {
     // A selection directly over a product is a join (the predicate decides
     // which pairs survive) — fold it into the join machinery so the
-    // conjunct-split / pushdown / OR-expansion passes see the condition.
+    // conjunct-split and pushdown passes see the condition.
     if (!for_ctables_ && q->left->kind == OpKind::kProduct) {
       return CompileJoinLike(q->left->left, q->left->right, q->cond, nullptr);
     }
@@ -487,9 +496,8 @@ class Compiler {
   }
 
   /// σ_cond(l × r), optionally projected at emit time — the join rewrite
-  /// pipeline: selection pushdown, conjunct split into hash keys,
-  /// OR-expansion. Also the re-entry point for OR-expansion branches,
-  /// which share the already-compiled inputs (the plan becomes a DAG).
+  /// pipeline: selection pushdown, then the conjunct split into hash keys
+  /// (or a single θ* key).
   StatusOr<PhysPtr> BuildJoin(PhysPtr l, PhysPtr r, const CondPtr& cond,
                               const std::vector<std::string>* proj) {
     auto joint = JointAttrs(l, r, "product");
@@ -546,26 +554,6 @@ class Compiler {
           break;
         }
       }
-    }
-
-    // OR-expansion: any other disjunctive join condition with no hashable
-    // key would force a full nested loop. Under set semantics
-    // σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r), and each disjunct is
-    // re-optimised with its own fast path. (Not valid under bags — rows
-    // satisfying both disjuncts would double-count.)
-    if (!for_ctables_ && opts_.enable_or_expansion && lkeys.empty() &&
-        residual.size() == 1 && residual[0]->kind == CondKind::kOr &&
-        set_semantics()) {
-      auto a = BuildJoin(l, r, residual[0]->left, proj);
-      if (!a.ok()) return a;
-      auto b = BuildJoin(l, r, residual[0]->right, proj);
-      if (!b.ok()) return b;
-      auto node = std::make_shared<PhysNode>();
-      node->op = PhysOp::kUnion;
-      node->attrs = (*a)->attrs;
-      node->left = *a;
-      node->right = *b;
-      return PhysPtr(node);
     }
 
     auto node = std::make_shared<PhysNode>();
@@ -670,14 +658,6 @@ class Compiler {
   bool for_ctables_;
 };
 
-void CountEdges(const PhysPtr& n,
-                std::unordered_map<const PhysNode*, uint32_t>* refcount) {
-  uint32_t& c = (*refcount)[n.get()];
-  if (++c > 1) return;  // children already counted on the first visit
-  if (n->left) CountEdges(n->left, refcount);
-  if (n->right) CountEdges(n->right, refcount);
-}
-
 }  // namespace
 
 bool OpIsMaintainable(PhysOp op) {
@@ -722,9 +702,9 @@ StatusOr<PlanPtr> CompileImpl(const AlgPtr& q, EvalMode mode,
   plan->mode = mode;
   plan->opts = opts;
   plan->opts.num_threads = ResolveNumThreads(opts.num_threads);
+  plan->opts.batch_size = ResolveBatchSize(opts.batch_size);
   plan->param_count = ParamCount(q);
   plan->for_ctables = for_ctables;
-  CountEdges(plan->root, &plan->refcount);
   std::set<std::string> names;
   plan->maintainable = !for_ctables;  // c-table evaluation walks the plan
                                       // with its own semantics: never
@@ -774,6 +754,10 @@ size_t ResolveNumThreads(size_t requested) {
   return std::min(requested, kMaxEvalThreads);
 }
 
+size_t ResolveBatchSize(size_t requested) {
+  return requested == 0 ? 1 : requested;
+}
+
 StatusOr<PlanPtr> Compile(const AlgPtr& q, EvalMode mode,
                           const EvalOptions& opts, const Database& db) {
   return CompileImpl(q, mode, opts, db, /*for_ctables=*/false);
@@ -781,18 +765,14 @@ StatusOr<PlanPtr> Compile(const AlgPtr& q, EvalMode mode,
 
 namespace {
 
-/// Clone-on-write parameter substitution over the operator DAG. Shared
-/// nodes (OR-expansion branches) are bound once and reused, preserving the
-/// DAG shape so the executor's memoisation keeps working.
+/// Clone-on-write parameter substitution over the operator tree:
+/// parameter-free subtrees are shared with the template.
 class PlanBinder {
  public:
   PlanBinder(const std::vector<Value>& params, CondMode mode)
       : params_(params), mode_(mode) {}
 
   StatusOr<PhysPtr> Bind(const PhysPtr& n) {
-    auto it = done_.find(n.get());
-    if (it != done_.end()) return it->second;
-
     PhysPtr left = n->left, right = n->right;
     if (n->left) {
       auto l = Bind(n->left);
@@ -809,8 +789,7 @@ class PlanBinder {
     for (const Value& v : n->dom_extra) dom_param |= v.is_param();
 
     if (!cond_param && !dom_param && left == n->left && right == n->right) {
-      done_.emplace(n.get(), n);  // parameter-free subtree: share
-      return n;
+      return n;  // parameter-free subtree: share
     }
     auto copy = std::make_shared<PhysNode>(*n);
     copy->left = std::move(left);
@@ -819,10 +798,8 @@ class PlanBinder {
       auto cond = BindCondParams(n->cond, params_);
       if (!cond.ok()) return cond.status();
       copy->cond = *cond;
-      auto pred = CompileCond(copy->cond, n->pred_attrs, mode_);
-      if (!pred.ok()) return pred.status();
-      copy->pred = std::move(*pred);
       copy->pred_attrs.clear();
+      INCDB_RETURN_IF_ERROR(CompilePrograms(copy.get(), n->pred_attrs, mode_));
     }
     if (dom_param) {
       for (Value& v : copy->dom_extra) {
@@ -831,15 +808,12 @@ class PlanBinder {
         v = *bound;
       }
     }
-    PhysPtr out = copy;
-    done_.emplace(n.get(), out);
-    return out;
+    return PhysPtr(copy);
   }
 
  private:
   const std::vector<Value>& params_;
   CondMode mode_;
-  std::unordered_map<const PhysNode*, PhysPtr> done_;
 };
 
 }  // namespace
@@ -874,7 +848,6 @@ StatusOr<PlanPtr> BindPlanParams(const PlanPtr& plan,
   bound->uses_dom = plan->uses_dom;
   bound->maintainable = plan->maintainable;
   bound->for_ctables = plan->for_ctables;
-  CountEdges(bound->root, &bound->refcount);
   INCDB_RETURN_IF_ERROR(internal::MaybeVerifyPlan(*bound));
   return PlanPtr(bound);
 }
@@ -886,12 +859,10 @@ StatusOr<PlanPtr> CompileForCTables(const AlgPtr& q, const Database& db) {
 
 size_t CountOps(const Plan& plan, PhysOp op) {
   size_t count = 0;
-  std::unordered_set<const PhysNode*> seen;
   std::vector<const PhysNode*> stack = {plan.root.get()};
   while (!stack.empty()) {
     const PhysNode* n = stack.back();
     stack.pop_back();
-    if (!seen.insert(n).second) continue;
     if (n->op == op) ++count;
     if (n->left) stack.push_back(n->left.get());
     if (n->right) stack.push_back(n->right.get());

@@ -7,7 +7,7 @@
 /// Evaluation is split into two phases:
 ///
 ///  1. Compile(query, mode, options, db) lowers the relational-algebra tree
-///     into a DAG of *typed physical operators* and runs the rewrite
+///     into a tree of *typed physical operators* and runs the rewrite
 ///     passes that the tree-walking evaluator used to re-derive on every
 ///     call:
 ///       * conjunct split — top-level equality conjuncts of a join
@@ -19,13 +19,13 @@
 ///         through products and renames (enable_selection_pushdown);
 ///       * projection fusion — π over a join-shaped child projects at emit
 ///         time; π over a plain σ becomes a FusedProjectFilter
-///         (enable_projection_fusion);
-///       * OR-expansion — a disjunctive join condition with no hashable
-///         key (neither an equality nor θ*) becomes a union of
-///         per-disjunct joins under set semantics, each branch
-///         re-optimised (enable_or_expansion).
-///     The database is consulted for *schemas only*: a compiled plan can be
-///     executed against any database with the same relation schemas.
+///         (enable_projection_fusion).
+///     A join condition with no hashable key (neither an equality nor θ*)
+///     runs as one NLJoin. Every condition is compiled once, here, into
+///     both the scalar predicate and the columnar program the row sweeps
+///     run. The database is consulted for *schemas only*: a compiled plan
+///     can be executed against any database with the same relation
+///     schemas.
 ///
 ///  2. Execute(plan, db) runs the operators. Leaf scans return a borrowed
 ///     RelationView over the database's flat rows (no copy); the hash join
@@ -41,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/algebra.h"
@@ -49,6 +48,7 @@
 #include "core/exec_context.h"
 #include "core/relation.h"
 #include "core/status.h"
+#include "eval/batch.h"
 #include "eval/eval.h"
 
 namespace incdb {
@@ -90,8 +90,9 @@ struct PhysNode;
 using PhysPtr = std::shared_ptr<const PhysNode>;
 
 /// \brief One physical operator with statically resolved schema, attribute
-/// positions and compiled predicates. Nodes are immutable and may be shared
-/// (OR-expansion branches share their compiled inputs, forming a DAG).
+/// positions and compiled predicates. Nodes are immutable; every node of a
+/// compiled plan has at most one parent (a bound plan shares its
+/// parameter-free subtrees with the template, never within itself).
 struct PhysNode {
   PhysOp op;
   std::vector<std::string> attrs;  ///< Output schema.
@@ -99,14 +100,24 @@ struct PhysNode {
   std::string rel_name;            ///< kScanView.
   CondPtr cond;                    ///< Filter / join residual / kInPred θ.
   /// `cond` compiled against the operator's input schema (the joint schema
-  /// for join-like operators). Pure and re-entrant: safe to call from the
-  /// join pool's worker threads. When `cond` still carries parameter
-  /// placeholders the compiled predicate is a validation artifact only —
-  /// Execute refuses plans with unbound parameters; BindPlanParams
-  /// recompiles it from the bound condition.
+  /// for join-like operators), one pair at a time: the residual of the
+  /// hash join, semijoin, correlated IN, UnifyJoin and delta join. Pure
+  /// and re-entrant: safe to call from the join pool's worker threads.
+  /// When `cond` still carries parameter placeholders the compiled
+  /// predicate is a validation artifact only — Execute refuses plans with
+  /// unbound parameters; BindPlanParams recompiles it from the bound
+  /// condition.
   std::function<TV3(const Tuple&)> pred;
+  /// `cond` compiled into the columnar register program (eval/batch.h)
+  /// against the same schema and mode as `pred`. Every row sweep runs it:
+  /// filters, the NL join, the cursor drain and delta filters. Null
+  /// exactly when `cond` still carries parameter placeholders;
+  /// BindPlanParams compiles it from the bound condition. Immutable, so
+  /// cached plans share it across threads (each caller brings its own
+  /// BatchPredicate::Scratch).
+  std::shared_ptr<const BatchPredicate> batch_pred;
   /// Input schema `pred` was compiled against — recorded only when `cond`
-  /// carries parameters, so BindPlanParams can recompile the predicate
+  /// carries parameters, so BindPlanParams can recompile both programs
   /// after substitution.
   std::vector<std::string> pred_attrs;
 
@@ -130,7 +141,7 @@ struct PhysNode {
   PhysPtr left, right;
 };
 
-/// \brief A compiled plan: the operator DAG plus everything Execute needs.
+/// \brief A compiled plan: the operator tree plus everything Execute needs.
 struct Plan {
   PhysPtr root;
   EvalMode mode;
@@ -139,9 +150,6 @@ struct Plan {
   /// A plan with param_count > 0 is a *template*: Execute rejects it until
   /// BindPlanParams substitutes constants (producing a plan with 0).
   size_t param_count = 0;
-  /// Parent-edge counts; nodes referenced more than once (OR-expansion
-  /// sharing) are memoised during execution.
-  std::unordered_map<const PhysNode*, uint32_t> refcount;
   /// Names of the base relations the plan scans (sorted, deduplicated) —
   /// together with uses_dom, the plan's *data-dependency footprint*. The
   /// result cache (eval/result_cache.h) stamps these with the executed
@@ -151,7 +159,7 @@ struct Plan {
   /// the active domain of the *whole* database (any relation's change can
   /// change it) — such plans fingerprint on the database epoch instead.
   bool uses_dom = false;
-  /// True when every operator of the DAG belongs to the monotone subset
+  /// True when every operator of the tree belongs to the monotone subset
   /// incremental result maintenance can propagate row-level deltas
   /// through (scan, filter, fused project-filter, project, rename, union,
   /// hash/NL/unify join). Difference, intersection, division, semijoins,
@@ -173,9 +181,15 @@ using PlanPtr = std::shared_ptr<const Plan>;
 /// and the plan-cache key always see the resolved value.
 size_t ResolveNumThreads(size_t requested);
 
+/// Validates EvalOptions::batch_size: 0 resolves to 1, the row-at-a-time
+/// cadence. Compile() stores the resolved value, so the executor and the
+/// plan-cache key never see 0.
+size_t ResolveBatchSize(size_t requested);
+
 /// Lowers `q` into a physical plan for the given mode, running the rewrite
-/// passes enabled in `opts` (with num_threads resolved via
-/// ResolveNumThreads). The database provides relation schemas only;
+/// passes enabled in `opts` (with num_threads and batch_size resolved via
+/// ResolveNumThreads / ResolveBatchSize). The database provides relation
+/// schemas only;
 /// no data is read. Compilation performs all schema validation (unknown
 /// relations/attributes, arity mismatches, product disjointness), so
 /// Execute only surfaces data-dependent errors (resource budgets).
@@ -190,7 +204,7 @@ StatusOr<PlanPtr> CompileForCTables(const AlgPtr& q, const Database& db);
 
 /// Substitutes parameter bindings into a compiled plan template: nodes on
 /// a path to a parameterised condition (or Dom extra) are copied with the
-/// condition bound and its predicate recompiled; every parameter-free
+/// condition bound and both its programs recompiled; every parameter-free
 /// subtree is shared with the original plan. The result has
 /// param_count == 0 and is independently executable — binding the same
 /// template concurrently from many threads is safe (the template is never
@@ -210,7 +224,7 @@ StatusOr<Relation> Execute(const PlanPtr& plan, const Database& db);
 StatusOr<Relation> Execute(const PlanPtr& plan, const Database& db,
                            const ExecContext& ctx);
 
-/// Executes one node of `plan`'s DAG and materialises its output — the
+/// Executes one node of `plan`'s tree and materialises its output — the
 /// streaming cursor (api/session.h) uses this for the non-streamable
 /// prefix below the root operator chain.
 StatusOr<Relation> ExecuteNode(const PlanPtr& plan, const PhysPtr& node,
@@ -218,11 +232,11 @@ StatusOr<Relation> ExecuteNode(const PlanPtr& plan, const PhysPtr& node,
 StatusOr<Relation> ExecuteNode(const PlanPtr& plan, const PhysPtr& node,
                                const Database& db, const ExecContext& ctx);
 
-/// Number of operators of the given kind in the plan DAG (shared nodes
-/// counted once) — used by plan-shape tests and the compile benchmarks.
+/// Number of operators of the given kind in the plan tree — used by
+/// plan-shape tests and the compile benchmarks.
 size_t CountOps(const Plan& plan, PhysOp op);
 
-/// Multi-line indented rendering of the operator DAG for debugging and
+/// Multi-line indented rendering of the operator tree for debugging and
 /// plan-shape assertions.
 std::string PlanToString(const Plan& plan);
 

@@ -179,17 +179,17 @@ void AppendAlg(std::string* k, const AlgPtr& q, const Database& db) {
 void AppendOptions(std::string* k, const EvalOptions& opts) {
   AppendU64(k, opts.max_tuples);
   AppendByte(k, static_cast<uint8_t>((opts.enable_hash_join << 0) |
-                                     (opts.enable_or_expansion << 1) |
-                                     (opts.enable_projection_fusion << 2) |
-                                     (opts.enable_unify_index << 3) |
-                                     (opts.enable_selection_pushdown << 4)));
+                                     (opts.enable_projection_fusion << 1) |
+                                     (opts.enable_unify_index << 2) |
+                                     (opts.enable_selection_pushdown << 3)));
   // The resolved thread count, so num_threads=0 and an explicit
   // hardware_concurrency() request share an entry.
   AppendU64(k, ResolveNumThreads(opts.num_threads));
   AppendU64(k, opts.parallel_min_rows);
   // batch_size does not change plan shape today, but cached plans carry
-  // their options into execution, so it must participate in identity.
-  AppendU64(k, opts.batch_size);
+  // their options into execution, so it must participate in identity —
+  // resolved, so 0 and 1 share an entry.
+  AppendU64(k, ResolveBatchSize(opts.batch_size));
 }
 
 void BuildKey(std::string* key, const AlgPtr& q, uint8_t mode_tag,

@@ -25,6 +25,7 @@
 /// technique, Oracle 11g "NAAJ").
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_map>
 #include <vector>
 
@@ -68,9 +69,10 @@ class UnifyKeyIndex {
 /// semantics when `set`). `emit(row, count, distinct)` receives each output
 /// row; `distinct` is true when the row cannot repeat within this call (an
 /// unprojected pair of distinct input rows). `tick(units)` is the
-/// cooperative checkpoint: called once per window of `window` probe rows,
-/// once per hash-bucket run and once per window of a null-key sweep. Both
-/// hooks return Status; the first error stops the join. Emission order is
+/// cooperative checkpoint: called once per window of `window` probe rows
+/// (≥ 1: the plan's resolved batch_size), once per hash-bucket run and once
+/// per window of a null-key sweep. Both hooks return Status; the first
+/// error stops the join. Emission order is
 /// deterministic: probe rows in input order, then bucket rows, then null
 /// rows (or the whole build side, in order, for a null-keyed probe).
 template <typename Tick, typename Emit>
@@ -79,7 +81,7 @@ Status UnifyJoinRows(const PhysNode& n, bool set, size_t window,
                      const std::vector<Relation::Row>& rrows, Tick&& tick,
                      Emit&& emit) {
   if (lrows.empty() || rrows.empty()) return Status::OK();
-  window = std::max<size_t>(window, 1);
+  assert(window > 0);
   const bool trivial = n.cond->kind == CondKind::kTrue;
   Tuple joint, projected;  // scratch, reused across pairs
   auto residual_holds = [&](const Tuple& lt, const Tuple& rt) {

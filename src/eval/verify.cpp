@@ -13,10 +13,6 @@ namespace incdb {
 
 namespace {
 
-CondMode VerifyCondMode(EvalMode m) {
-  return m == EvalMode::kSetSql ? CondMode::kSql : CondMode::kNaive;
-}
-
 /// One verification walk over a plan. Collects nothing; fails fast with a
 /// kInternal status naming the offending node by its root path.
 class PlanVerifier {
@@ -26,11 +22,10 @@ class PlanVerifier {
 
   Status Run() {
     if (!plan_.root) return Fail("", "plan has no root node");
-    // Acyclicity first: every later traversal assumes a DAG and would
-    // otherwise loop forever on a corrupted share.
+    // Acyclicity first: every later traversal would otherwise loop forever
+    // on a corrupted child pointer.
     INCDB_RETURN_IF_ERROR(CheckAcyclic(plan_.root, ""));
     INCDB_RETURN_IF_ERROR(CheckNodes(plan_.root, ""));
-    INCDB_RETURN_IF_ERROR(CheckRefcounts());
     INCDB_RETURN_IF_ERROR(CheckPlanSummary());
     return Status::OK();
   }
@@ -59,7 +54,7 @@ class PlanVerifier {
       if (it->second == kGrey) {
         return FailNode(*n, path, "cycle in the operator graph");
       }
-      return Status::OK();  // black: shared subtree, already validated
+      return Status::OK();  // black: reached twice, already validated
     }
     colour_[p] = kGrey;
     if (n->left) INCDB_RETURN_IF_ERROR(CheckAcyclic(n->left, path + ".left"));
@@ -70,8 +65,8 @@ class PlanVerifier {
     return Status::OK();
   }
 
-  /// Per-node structural checks; shared subtrees are validated once (their
-  /// invariants do not depend on the parent).
+  /// Per-node structural checks; a node reached twice is validated once
+  /// (its invariants do not depend on the parent).
   Status CheckNodes(const PhysPtr& n, const std::string& path) {
     if (!checked_.insert(n.get()).second) return Status::OK();
     if (n->left) INCDB_RETURN_IF_ERROR(CheckNodes(n->left, path + ".left"));
@@ -400,12 +395,17 @@ class PlanVerifier {
       return FailNode(n, path, "operator records pred_attrs without a "
                                "parameterised condition");
     }
+    if (n.batch_pred) {
+      return FailNode(n, path, "operator carries an unexpected columnar "
+                               "predicate program");
+    }
     return Status::OK();
   }
 
   /// Condition-bearing operators: attribute resolution against the input
-  /// schema, pred_attrs discipline, parameter coverage, and a well-formed
-  /// columnar register program for the bound conditions.
+  /// schema, pred_attrs discipline, parameter coverage, and a stored,
+  /// well-formed columnar register program exactly for the bound
+  /// conditions.
   Status CheckCond(const PhysNode& n, const std::string& path,
                    const std::vector<std::string>& input) const {
     if (!n.cond) return FailNode(n, path, "missing condition");
@@ -430,21 +430,22 @@ class PlanVerifier {
                         "parameterised condition must record its input "
                         "schema in pred_attrs");
       }
+      if (n.batch_pred) {
+        return FailNode(n, path,
+                        "parameterised condition carries a columnar "
+                        "program compiled before binding");
+      }
     } else {
       if (!n.pred_attrs.empty()) {
         return FailNode(n, path,
                         "pred_attrs recorded for a parameter-free condition");
       }
-      // The columnar program the vectorized executor would build must be
-      // well-formed (it shares atom semantics with the scalar predicate).
-      auto bp = BatchPredicate::Make(n.cond, input,
-                                     VerifyCondMode(plan_.mode));
-      if (!bp.ok()) {
-        return FailNode(n, path, "condition does not compile to a columnar "
-                                 "program: " +
-                                     bp.status().message());
+      // The row sweeps run the stored columnar program: it must exist and
+      // be well-formed.
+      if (!n.batch_pred) {
+        return FailNode(n, path, "missing columnar predicate program");
       }
-      Status prog = bp->Validate(input.size());
+      Status prog = n.batch_pred->Validate(input.size());
       if (!prog.ok()) {
         return FailNode(n, path,
                         "malformed predicate program: " + prog.message());
@@ -453,38 +454,7 @@ class PlanVerifier {
     return Status::OK();
   }
 
-  /// Recomputes parent-edge counts and compares with Plan::refcount — the
-  /// executor memoises exactly the nodes recorded as shared there.
-  Status CheckRefcounts() {
-    std::unordered_map<const PhysNode*, uint32_t> counts;
-    CountParentEdges(plan_.root, &counts);
-    if (counts.size() != plan_.refcount.size()) {
-      return Fail("", "refcount map covers " +
-                          std::to_string(plan_.refcount.size()) +
-                          " node(s), the DAG has " +
-                          std::to_string(counts.size()));
-    }
-    for (const auto& [node, c] : counts) {
-      auto it = plan_.refcount.find(node);
-      if (it == plan_.refcount.end() || it->second != c) {
-        return Status::Internal(
-            "plan verifier: node (" + std::string(ToString(node->op)) +
-            ") has " + std::to_string(c) + " parent edge(s), refcount records " +
-            std::to_string(it == plan_.refcount.end() ? 0 : it->second));
-      }
-    }
-    return Status::OK();
-  }
-
-  static void CountParentEdges(
-      const PhysPtr& n, std::unordered_map<const PhysNode*, uint32_t>* counts) {
-    uint32_t& c = (*counts)[n.get()];
-    if (++c > 1) return;
-    if (n->left) CountParentEdges(n->left, counts);
-    if (n->right) CountParentEdges(n->right, counts);
-  }
-
-  /// Plan-level summary fields recomputed from the DAG.
+  /// Plan-level summary fields recomputed from the tree.
   Status CheckPlanSummary() {
     std::set<std::string> scans;
     bool uses_dom = false;
@@ -530,6 +500,10 @@ class PlanVerifier {
       return Fail("", "EvalOptions::num_threads was not resolved at compile "
                       "time (got " +
                           std::to_string(plan_.opts.num_threads) + ")");
+    }
+    if (plan_.opts.batch_size == 0) {
+      return Fail("", "EvalOptions::batch_size was not resolved at compile "
+                      "time (got 0)");
     }
     return Status::OK();
   }

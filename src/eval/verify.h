@@ -10,8 +10,8 @@
 /// clone-substitution, the plan cache, delta maintenance — relies on a set
 /// of IR invariants that nothing used to check explicitly: schema
 /// positions stay in bounds, predicates resolve against their input
-/// schema, the operator DAG stays acyclic, the maintainability marker
-/// matches the supported-op subset. VerifyPlan() walks the DAG once and
+/// schema, the operator tree stays acyclic, the maintainability marker
+/// matches the supported-op subset. VerifyPlan() walks the tree once and
 /// validates all of them, returning kInternal with a *path-to-node*
 /// diagnostic ("root.left.right (HashJoin): ...") on the first violation.
 ///
@@ -28,23 +28,24 @@
 ///  * predicates: the condition only references attributes of the
 ///    operator's input schema (the joint schema for join-like nodes), a
 ///    parameterised condition records that schema in pred_attrs (and a
-///    bound one does not), and the parameter-free conditions recompile
-///    into a well-formed columnar register program
+///    bound one does not), and exactly the parameter-free conditions carry
+///    their stored columnar register program, which must be well-formed
 ///    (BatchPredicate::Validate — postorder stack discipline, register
-///    count, operand kinds and column bounds);
+///    count, operand kinds and column bounds); condition-free operators
+///    carry no program;
 ///  * scan ↔ catalog: with a database supplied, every ScanView's recorded
 ///    schema matches the catalog's current schema for that relation.
 ///
 /// **What is checked, per plan:**
-///  * the operator graph is a DAG (shared subtrees fine, cycles fatal)
-///    and Plan::refcount records the exact parent-edge counts the
-///    executor's shared-subtree memoisation keys on;
+///  * the operator graph is acyclic (a cycle is fatal: every walk over the
+///    plan would loop forever);
 ///  * Plan::param_count covers every ?i placeholder mentioned by any
 ///    condition or Dom extra;
 ///  * Plan::scanned_rels / uses_dom agree with the actual leaves;
 ///  * Plan::maintainable holds exactly when every operator belongs to the
 ///    delta-propagation subset and the plan is not a c-table lowering;
-///  * EvalOptions::num_threads was resolved (1..kMaxEvalThreads).
+///  * EvalOptions::num_threads was resolved (1..kMaxEvalThreads) and
+///    EvalOptions::batch_size was resolved (≥ 1).
 ///
 /// **Wiring.** Under INCDB_VERIFY_PLANS (on in Debug builds and every
 /// sanitizer CI job, compiled out of Release hot paths) the verifier runs

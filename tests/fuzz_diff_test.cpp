@@ -13,7 +13,8 @@
 //   INCDB_FUZZ_CASES     cases per mode (default 500)
 //   INCDB_FUZZ_THREADS   one extra thread count to test (CI uses 4)
 //   INCDB_FUZZ_BATCH     force EvalOptions::batch_size on every config
-//                        (CI runs the whole matrix once with 1024)
+//                        (CI runs the whole matrix once with 1, the
+//                        row-at-a-time cadence)
 
 #include <gtest/gtest.h>
 
@@ -348,11 +349,6 @@ std::vector<FuzzConfig> FuzzConfigs() {
   }
   {
     EvalOptions o;
-    o.enable_or_expansion = false;
-    bases.push_back({"-or", o});
-  }
-  {
-    EvalOptions o;
     o.enable_projection_fusion = false;
     bases.push_back({"-fusion", o});
   }
@@ -369,7 +365,6 @@ std::vector<FuzzConfig> FuzzConfigs() {
   {
     EvalOptions o;
     o.enable_hash_join = false;
-    o.enable_or_expansion = false;
     o.enable_projection_fusion = false;
     o.enable_unify_index = false;
     o.enable_selection_pushdown = false;
@@ -387,12 +382,12 @@ std::vector<FuzzConfig> FuzzConfigs() {
           {name + "/t" + std::to_string(threads), o});
     }
   }
-  // The vectorized-executor matrix: legacy tuple-at-a-time (0), the
-  // degenerate single-row batch (1), a deliberately awkward window that
-  // straddles every boundary (3), and the default (1024, already covered
-  // by the base configs above). Bit-identity across all of them is the
-  // batching contract.
-  for (size_t batch : {size_t{0}, size_t{1}, size_t{3}}) {
+  // The vectorized-executor matrix: the single-row window (1, the
+  // row-at-a-time cadence), a deliberately awkward window that straddles
+  // every boundary (3), and the default (1024, already covered by the base
+  // configs above). Bit-identity across all of them is the batching
+  // contract.
+  for (size_t batch : {size_t{1}, size_t{3}}) {
     for (size_t threads : thread_counts) {
       EvalOptions o;
       o.num_threads = threads;
@@ -568,8 +563,8 @@ TEST(FuzzDiffTest, ResultCacheToggleIsBitIdentical) {
 // row-level Mutate batches with prepared executions and cross-check the
 // (possibly delta-maintained) cached result against a maintenance-free
 // cold recompute after every commit. Crossed over the vectorized batch
-// sizes {0, 1024} × thread counts {1, 8} — the delta propagator reuses
-// the batch predicate programs, so both executors run on both paths. Set
+// sizes {1, 1024} × thread counts {1, 8} — the delta propagator runs the
+// plan's stored predicate programs at the plan's batch size. Set
 // modes also exercise the deletion → invalidation fallback (removals are
 // not insert-only maintainable there); bag mode the exact signed-delta
 // path.
@@ -580,7 +575,7 @@ TEST(FuzzDiffTest, MaintainedResultsMatchColdRecompute) {
     size_t batch;
     size_t threads;
   };
-  constexpr Cfg kCfgs[] = {{0, 1}, {0, 8}, {1024, 1}, {1024, 8}};
+  constexpr Cfg kCfgs[] = {{1, 1}, {1, 8}, {1024, 1}, {1024, 8}};
   constexpr const char* kRels[] = {"R", "S", "T"};
   for (EvalMode mode :
        {EvalMode::kSetNaive, EvalMode::kBagNaive, EvalMode::kSetSql}) {
@@ -672,6 +667,87 @@ TEST(FuzzDiffTest, MaintainedResultsMatchColdRecompute) {
         << "maintenance never actually ran (mode " << static_cast<int>(mode)
         << ")";
   }
+}
+
+// The streaming cursor must deliver exactly what Execute materialises: the
+// deliveries of a full drain, accumulated with their counts, form the same
+// relation as the materialised result, at every batch size (1 is the
+// row-at-a-time cadence; 3 straddles every refill boundary; 1024 grows the
+// refill window 16 → 128 → 1024) and in every mode. Besides a random
+// query, each case drains a bare scan (a chain of zero stages), a fused
+// project-filter, a σ → π → distinct chain and a filter over a rename,
+// all over relations large enough to span several refill windows.
+TEST(FuzzDiffTest, CursorDrainMatchesExecute) {
+  const uint64_t seed = EnvOr("INCDB_FUZZ_SEED", 20260730);
+  const uint64_t cases = EnvOr("INCDB_FUZZ_CASES", 500) / 5 + 1;
+  std::mt19937_64 rng(seed ^ 0x2545f4914f6cdd1dull);
+  // Size estimates for 40-row leaves keep the random queries small.
+  RandomQueryGen gen(rng, /*leaf_rows=*/40);
+  auto rand_cond = [&rng](const std::string& a, const std::string& b) {
+    const Value k = Value::Int(static_cast<int64_t>(rng() % 4));
+    switch (rng() % 4) {
+      case 0:
+        return COr(CEq(a, b), CIsNull(b));
+      case 1:
+        return CAnd(CNeqc(a, k), CIsConst(b));
+      case 2:
+        return CLtc(a, k);
+      default:
+        return COr(CEqc(a, k), CGec(b, k));
+    }
+  };
+  uint64_t streamed = 0, zero_stage = 0;
+  for (uint64_t i = 0; i < cases; ++i) {
+    Database db = (i % 2 == 0) ? RandomBagDatabase(rng, 40, 6, 3)
+                               : RandomDatabase(rng, 40, 6, 3);
+    const std::vector<AlgPtr> queries = {
+        gen.Gen(2 + static_cast<int>(i % 3)),
+        Scan(i % 2 == 0 ? "R" : "T"),
+        Project(Select(Scan("R"), rand_cond("R_a", "R_b")), {"R_b"}),
+        Distinct(Project(Select(Scan("S"), rand_cond("S_b", "S_a")),
+                         {"S_a"})),
+        Select(Rename(Scan("S"), {"x", "y"}), rand_cond("y", "x")),
+    };
+    for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+      EvalOptions opts;
+      opts.batch_size = batch;
+      opts.use_result_cache = false;
+      Session sess(db, opts);
+      for (EvalMode mode :
+           {EvalMode::kSetNaive, EvalMode::kBagNaive, EvalMode::kSetSql}) {
+        for (const AlgPtr& q : queries) {
+          auto pq = sess.Prepare(q, mode);
+          ASSERT_TRUE(pq.ok()) << "case " << i << ": "
+                               << pq.status().ToString() << "\n"
+                               << q->ToString();
+          auto rel = pq->Execute();
+          ASSERT_TRUE(rel.ok()) << "case " << i << ": "
+                                << rel.status().ToString();
+          auto cur = pq->OpenCursor();
+          ASSERT_TRUE(cur.ok()) << "case " << i << ": "
+                                << cur.status().ToString();
+          Relation delivered(cur->attrs());
+          while (cur->Next()) {
+            ASSERT_GT(cur->count(), 0u) << "case " << i;
+            ASSERT_TRUE(delivered.Insert(cur->row(), cur->count()).ok());
+          }
+          ASSERT_TRUE(cur->status().ok())
+              << "case " << i << ": " << cur->status().ToString();
+          ASSERT_EQ(delivered.attrs(), rel->attrs()) << "case " << i;
+          ASSERT_TRUE(delivered.SameRows(*rel))
+              << "case " << i << " (mode " << static_cast<int>(mode)
+              << ", b" << batch << ") cursor diverges for " << q->ToString()
+              << "\nexecute:\n"
+              << rel->ToString() << "\ncursor:\n"
+              << delivered.ToString();
+          if (cur->streaming()) ++streamed;
+          if (q->kind == OpKind::kScan) ++zero_stage;
+        }
+      }
+    }
+  }
+  EXPECT_GT(streamed, 0u) << "no cursor streamed";
+  EXPECT_GT(zero_stage, 0u) << "no zero-stage chain drained";
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -51,7 +52,7 @@ std::vector<AlgPtr> OptimizerCorpus() {
   corpus.push_back(AntijoinUnify(r, s));
   corpus.push_back(Distinct(Project(r, {"R_a"})));
   // Join with a one-sided conjunct (exercises selection pushdown) and a
-  // disjunctive join condition (exercises OR-expansion).
+  // disjunctive join condition with no hashable key (one NLJoin).
   corpus.push_back(Select(Product(r, Rename(s, {"S_x", "S_y"})),
                           CAnd(CEq("R_b", "S_x"),
                                CNeqc("R_a", Value::Int(1)))));
@@ -83,11 +84,6 @@ std::vector<std::pair<const char*, EvalOptions>> ToggleConfigs() {
   }
   {
     EvalOptions o = base;
-    o.enable_or_expansion = false;
-    configs.push_back({"- OR-expansion", o});
-  }
-  {
-    EvalOptions o = base;
     o.enable_projection_fusion = false;
     configs.push_back({"- projection fusion", o});
   }
@@ -104,7 +100,6 @@ std::vector<std::pair<const char*, EvalOptions>> ToggleConfigs() {
   {
     EvalOptions o = base;
     o.enable_hash_join = false;
-    o.enable_or_expansion = false;
     o.enable_projection_fusion = false;
     o.enable_unify_index = false;
     o.enable_selection_pushdown = false;
@@ -199,24 +194,37 @@ TEST(PlanShapeTest, PushdownMovesOneSidedConjunctBelowJoin) {
   EXPECT_EQ(CountOps(**kept, PhysOp::kFilterSel), 0u) << PlanToString(**kept);
 }
 
-TEST(PlanShapeTest, OrExpansionSharesCompiledInputs) {
+TEST(PlanShapeTest, DisjunctiveJoinIsOneNLJoinOverATree) {
   std::mt19937_64 rng(5);
   Database db = RandomDatabase(rng);
   AlgPtr q = Select(Product(Scan("R"), Rename(Scan("S"), {"S_x", "S_y"})),
                     COr(CEq("R_a", "S_x"), CEq("R_b", "S_y")));
-  auto plan = Compile(q, EvalMode::kSetNaive, EvalOptions{}, db);
-  ASSERT_TRUE(plan.ok());
-  // Each disjunct is an equality: both branches hash-join, merged by one
-  // union, over *shared* scan subtrees (the plan is a DAG).
-  EXPECT_EQ(CountOps(**plan, PhysOp::kUnion), 1u) << PlanToString(**plan);
-  EXPECT_EQ(CountOps(**plan, PhysOp::kHashJoin), 2u) << PlanToString(**plan);
-  EXPECT_EQ(CountOps(**plan, PhysOp::kScanView), 2u) << PlanToString(**plan);
-  bool has_shared = false;
-  for (const auto& [node, count] : (*plan)->refcount) {
-    (void)node;
-    if (count > 1) has_shared = true;
+  for (EvalMode mode :
+       {EvalMode::kSetNaive, EvalMode::kBagNaive, EvalMode::kSetSql}) {
+    auto plan = Compile(q, mode, EvalOptions{}, db);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    // A disjunction of equalities has no hash key: one nested loop, no
+    // per-disjunct union.
+    EXPECT_EQ(CountOps(**plan, PhysOp::kNLJoin), 1u) << PlanToString(**plan);
+    EXPECT_EQ(CountOps(**plan, PhysOp::kUnion), 0u) << PlanToString(**plan);
+    EXPECT_EQ(CountOps(**plan, PhysOp::kHashJoin), 0u)
+        << PlanToString(**plan);
+    EXPECT_EQ(CountOps(**plan, PhysOp::kScanView), 2u)
+        << PlanToString(**plan);
+    // The plan is a tree: no node is reached twice.
+    std::set<const PhysNode*> seen;
+    std::vector<const PhysNode*> stack = {(*plan)->root.get()};
+    while (!stack.empty()) {
+      const PhysNode* n = stack.back();
+      stack.pop_back();
+      EXPECT_TRUE(seen.insert(n).second)
+          << ToString(n->op) << " reached twice\n" << PlanToString(**plan);
+      if (n->left) stack.push_back(n->left.get());
+      if (n->right) stack.push_back(n->right.get());
+    }
+    auto res = Execute(*plan, db);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
   }
-  EXPECT_TRUE(has_shared);
 }
 
 /// Q⁺ (plus) or Q? (maybe) of TPC-H-lite workload query `name`, compiled
@@ -237,9 +245,9 @@ PlanPtr CompileApprox(const Database& db, const std::string& name, bool plus,
   return nullptr;
 }
 
-// The σ?-rule's θ* join condition takes the null-aware UnifyJoin, not the
-// OR-expanded HashJoin ∪ NLJoin ∪ NLJoin: W4's Q? is two UnifyJoins with
-// no union, and no Q⁺ of a difference keeps a nested loop.
+// The σ?-rule's θ* join condition takes the null-aware UnifyJoin, not a
+// nested loop over the disjunction: W4's Q? is two UnifyJoins with no
+// union, and no Q⁺ of a difference keeps a nested loop.
 TEST(PlanShapeTest, ThetaStarJoinsUseUnifyJoin) {
   tpch::GenOptions gen;
   gen.scale = 0.1;
@@ -632,6 +640,43 @@ TEST(PlanCacheTest, AlphaRenamedAndDistinctQueriesKeySeparately) {
   uint64_t misses = cache.stats().misses;
   (void)cache.CompileCached(q, EvalMode::kSetNaive, hw, db);
   EXPECT_EQ(cache.stats().misses, misses);
+}
+
+TEST(PlanOptionsTest, BatchSizeZeroResolvesToOne) {
+  std::mt19937_64 rng(15);
+  Database db = RandomDatabase(rng);
+  AlgPtr q = Project(Select(Product(Scan("R"), Rename(Scan("S"), {"x", "y"})),
+                            COr(CEq("R_a", "x"), CIsNull("y"))),
+                     {"R_b", "y"});
+  EvalOptions zero;
+  zero.batch_size = 0;
+  EvalOptions one;
+  one.batch_size = 1;
+  // Compile stores the resolved value: 0 is the row-at-a-time cadence.
+  EXPECT_EQ(ResolveBatchSize(0), 1u);
+  auto plan = Compile(q, EvalMode::kSetNaive, zero, db);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ((*plan)->opts.batch_size, 1u);
+  // 0 and 1 share one plan-cache entry.
+  EXPECT_EQ(PlanCacheKey(q, EvalMode::kSetNaive, zero, db),
+            PlanCacheKey(q, EvalMode::kSetNaive, one, db));
+  PlanCache cache;
+  auto a = cache.CompileCached(q, EvalMode::kSetNaive, zero, db);
+  auto b = cache.CompileCached(q, EvalMode::kSetNaive, one, db);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->get(), b->get());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  // And it evaluates exactly like batch 1, row order included.
+  using Evaluator = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
+                                           const EvalOptions&);
+  for (Evaluator eval : {Evaluator{&EvalSet}, Evaluator{&EvalBag},
+                         Evaluator{&EvalSql}}) {
+    auto r0 = eval(q, db, zero);
+    auto r1 = eval(q, db, one);
+    ASSERT_TRUE(r0.ok() && r1.ok());
+    EXPECT_TRUE(r0->IdenticalTo(*r1)) << r0->ToString() << r1->ToString();
+  }
 }
 
 TEST(PlanCacheTest, SchemaChangeInvalidatesAndClearDropsEntries) {

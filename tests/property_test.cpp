@@ -294,7 +294,6 @@ TEST_P(FastPathProperty, TogglesNeverChangeAnswers) {
   Database db = testing_util::RandomDatabase(rng, 4, 3, 2);
   EvalOptions plain;
   plain.enable_hash_join = false;
-  plain.enable_or_expansion = false;
   plain.enable_projection_fusion = false;
   plain.enable_unify_index = false;
   for (const AlgPtr& q : testing_util::QueryZoo()) {

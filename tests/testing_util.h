@@ -30,8 +30,8 @@ inline uint64_t EnvOr(const char* name, uint64_t fallback) {
 
 /// CI knob for the vectorized executor: INCDB_FUZZ_BATCH=N forces
 /// EvalOptions::batch_size = N on every fuzz configuration (the sanitizer
-/// job sets 1024 so the whole toggle matrix runs batched under
-/// ASan+UBSan). 0 / unset keeps each configuration's own batch size.
+/// job sets 1 so the whole toggle matrix runs at the row-at-a-time cadence
+/// under ASan+UBSan). 0 / unset keeps each configuration's own batch size.
 inline uint64_t FuzzBatchOverride() { return EnvOr("INCDB_FUZZ_BATCH", 0); }
 
 /// The Orders / Payments / Customers database of paper Figure 1.

@@ -11,12 +11,13 @@
 //    keeps the coverage in every build type.
 //
 //  * Negatives: one hand-corrupted plan per check class — bad projection
-//    index, dangling pred_attrs, cyclic DAG share, bogus maintainable,
-//    malformed predicate register program, uncovered parameter slots,
-//    wrong scanned_rels / uses_dom, stale refcounts, catalog mismatch,
-//    out-of-range (hash and unify) join keys, unresolved num_threads —
-//    each rejected with
-//    a kInternal diagnostic naming the offending node by its root path.
+//    index, dangling pred_attrs, cyclic child pointers, bogus
+//    maintainable, malformed predicate register program (standalone and
+//    stored on a plan node), missing stored program, uncovered parameter
+//    slots, wrong scanned_rels / uses_dom, catalog mismatch, out-of-range
+//    (hash and unify) join keys, unresolved num_threads / batch_size —
+//    each rejected with a kInternal diagnostic naming the offending node
+//    by its root path.
 
 #include "eval/verify.h"
 
@@ -26,7 +27,6 @@
 #include <memory>
 #include <random>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/builder.h"
@@ -64,13 +64,11 @@ std::vector<EvalOptions> ToggleMatrix() {
   EvalOptions all_on;
   EvalOptions all_off;
   all_off.enable_hash_join = false;
-  all_off.enable_or_expansion = false;
   all_off.enable_projection_fusion = false;
   all_off.enable_unify_index = false;
   all_off.enable_selection_pushdown = false;
   EvalOptions no_fusion;  // keeps σ/π separate but joins hashed
   no_fusion.enable_projection_fusion = false;
-  no_fusion.enable_or_expansion = false;
   return {all_on, all_off, no_fusion};
 }
 
@@ -92,7 +90,7 @@ std::vector<AlgPtr> SweepCorpus() {
   corpus.push_back(Distinct(Project(r, {"R_a"})));
   corpus.push_back(Division(r, Rename(Project(s, {"S_b"}), {"R_b"})));
   corpus.push_back(Diff(DomK({"R_a"}), Project(r, {"R_a"})));
-  // Pushdown + OR-expansion shapes (shared compiled subtrees → DAG).
+  // Pushdown and disjunctive (NLJoin) join shapes.
   corpus.push_back(Select(Product(r, Rename(s, {"S_x", "S_y"})),
                           CAnd(CEq("R_b", "S_x"),
                                CNeqc("R_a", Value::Int(1)))));
@@ -111,21 +109,10 @@ PlanPtr MustCompile(const AlgPtr& q, const Database& db,
   return plan.ok() ? *plan : nullptr;
 }
 
-void CountEdges(const PhysPtr& n,
-                std::unordered_map<const PhysNode*, uint32_t>* counts) {
-  uint32_t& c = (*counts)[n.get()];
-  if (++c > 1) return;
-  if (n->left) CountEdges(n->left, counts);
-  if (n->right) CountEdges(n->right, counts);
-}
-
-/// Re-roots a copied plan and recomputes the parent-edge map so only the
-/// planted defect trips the verifier.
+/// Re-roots a copied plan so only the planted defect trips the verifier.
 Plan WithRoot(const Plan& base, PhysPtr root) {
   Plan p = base;
   p.root = std::move(root);
-  p.refcount.clear();
-  CountEdges(p.root, &p.refcount);
   return p;
 }
 
@@ -477,16 +464,6 @@ TEST(VerifyNegative, UsesDomFlagDisagrees) {
   ExpectRejected(bad, &db, "uses_dom");
 }
 
-TEST(VerifyNegative, StaleRefcounts) {
-  std::mt19937_64 rng(6);
-  Database db = RandomDatabase(rng);
-  PlanPtr plan = MustCompile(Join(Scan("R"), Scan("S"), CEq("R_b", "S_a")), db);
-  ASSERT_NE(plan, nullptr);
-  Plan bad = *plan;
-  bad.refcount.clear();
-  ExpectRejected(bad, &db, "refcount");
-}
-
 TEST(VerifyNegative, CatalogMismatch) {
   std::mt19937_64 rng(8);
   Database db = RandomDatabase(rng);
@@ -551,6 +528,93 @@ TEST(VerifyNegative, UnresolvedNumThreads) {
   Plan bad = *plan;
   bad.opts.num_threads = 0;
   ExpectRejected(bad, &db, "num_threads");
+}
+
+TEST(VerifyNegative, UnresolvedBatchSize) {
+  std::mt19937_64 rng(10);
+  Database db = RandomDatabase(rng);
+  PlanPtr plan = MustCompile(Scan("R"), db);
+  ASSERT_NE(plan, nullptr);
+  Plan bad = *plan;
+  bad.opts.batch_size = 0;
+  ExpectRejected(bad, &db, "root: EvalOptions::batch_size was not resolved");
+}
+
+TEST(VerifyNegative, FilterWithoutStoredProgram) {
+  std::mt19937_64 rng(12);
+  Database db = RandomDatabase(rng);
+  // A filter under a rename: the diagnostic must name the inner node.
+  PlanPtr plan = MustCompile(
+      Rename(Select(Scan("R"), CNeqc("R_a", Value::Int(1))), {"x", "y"}), db);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->root->op, PhysOp::kRename) << PlanToString(*plan);
+  ASSERT_EQ(plan->root->left->op, PhysOp::kFilterSel) << PlanToString(*plan);
+  ASSERT_NE(plan->root->left->batch_pred, nullptr);
+  auto filter = std::make_shared<PhysNode>(*plan->root->left);
+  filter->batch_pred = nullptr;
+  auto root = std::make_shared<PhysNode>(*plan->root);
+  root->left = filter;
+  ExpectRejected(WithRoot(*plan, root), &db,
+                 "root.left (FilterSel): missing columnar predicate program");
+
+  // A template's parameterised filter carries no program until binding.
+  PlanPtr tmpl =
+      MustCompile(Select(Scan("R"), CEqc("R_a", Value::Param(0))), db);
+  ASSERT_NE(tmpl, nullptr);
+  EXPECT_EQ(tmpl->root->batch_pred, nullptr);
+  auto early = std::make_shared<PhysNode>(*tmpl->root);
+  early->batch_pred = plan->root->left->batch_pred;
+  ExpectRejected(WithRoot(*tmpl, early), &db, "compiled before binding");
+
+  // A condition-free operator carries none either.
+  auto project = std::make_shared<PhysNode>(*MustCompile(
+      Project(Scan("R"), {"R_a"}), db)->root);
+  ASSERT_EQ(project->op, PhysOp::kProject);
+  project->batch_pred = plan->root->left->batch_pred;
+  PlanPtr proj_plan = MustCompile(Project(Scan("R"), {"R_a"}), db);
+  ExpectRejected(WithRoot(*proj_plan, project), &db,
+                 "unexpected columnar predicate program");
+}
+
+TEST(VerifyNegative, CorruptedStoredProgram) {
+  std::mt19937_64 rng(12);
+  Database db = RandomDatabase(rng);
+  // The join's residual R_a ≠ S_b is parameter-free: its stored program is
+  // what the verifier validates (it compiles no copy of its own).
+  PlanPtr plan = MustCompile(
+      Project(Join(Scan("R"), Scan("S"),
+                   CAnd(CEq("R_b", "S_a"), CNeq("R_a", "S_b"))),
+              {"R_a"}),
+      db);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->root->op, PhysOp::kHashJoin) << PlanToString(*plan);
+  ASSERT_NE(plan->root->batch_pred, nullptr);
+  ASSERT_TRUE(plan->root->batch_pred->Validate(4).ok());
+  auto program = std::make_shared<BatchPredicate>(*plan->root->batch_pred);
+  BatchPredicateTestPeer::prog(*program)[0].col = 9;
+  auto bad = std::make_shared<PhysNode>(*plan->root);
+  bad->batch_pred = program;
+  ExpectRejected(WithRoot(*plan, bad), &db,
+                 "root (HashJoin): malformed predicate program");
+
+  // Same defect one level down, on a filter feeding the join.
+  PlanPtr filtered = MustCompile(
+      Join(Select(Scan("R"), COr(CEqc("R_a", Value::Int(0)), CIsNull("R_b"))),
+           Scan("S"), CEq("R_b", "S_a")),
+      db);
+  ASSERT_NE(filtered, nullptr);
+  ASSERT_EQ(filtered->root->op, PhysOp::kHashJoin) << PlanToString(*filtered);
+  ASSERT_EQ(filtered->root->left->op, PhysOp::kFilterSel)
+      << PlanToString(*filtered);
+  auto filter_prog =
+      std::make_shared<BatchPredicate>(*filtered->root->left->batch_pred);
+  BatchPredicateTestPeer::n_regs(*filter_prog) = 7;
+  auto filter = std::make_shared<PhysNode>(*filtered->root->left);
+  filter->batch_pred = filter_prog;
+  auto root = std::make_shared<PhysNode>(*filtered->root);
+  root->left = filter;
+  ExpectRejected(WithRoot(*filtered, root), &db,
+                 "root.left (FilterSel): malformed predicate program");
 }
 
 }  // namespace
