@@ -187,6 +187,15 @@ std::vector<std::string> CondAttrs(const CondPtr& c) {
   return std::vector<std::string>(s.begin(), s.end());
 }
 
+Status CheckCondAttrs(const CondPtr& c, const std::vector<std::string>& attrs) {
+  for (const std::string& a : CondAttrs(c)) {
+    if (IndexOf(attrs, a) == attrs.size()) {
+      return Status::NotFound("condition references unknown attribute " + a);
+    }
+  }
+  return Status::OK();
+}
+
 namespace {
 /// True for condition kinds whose `constant` field is live.
 bool KindHasConstant(CondKind k) {

@@ -96,6 +96,10 @@ CondPtr StarTranslate(const CondPtr& c);
 /// All attribute names mentioned by the condition.
 std::vector<std::string> CondAttrs(const CondPtr& c);
 
+/// NotFound("condition references unknown attribute X") for the first
+/// attribute of CondAttrs(c) missing from `attrs`; OK when all resolve.
+Status CheckCondAttrs(const CondPtr& c, const std::vector<std::string>& attrs);
+
 /// True iff any attr-const comparison of the condition carries a parameter
 /// placeholder (Value::Param) instead of a constant.
 bool CondHasParam(const CondPtr& c);
@@ -150,9 +154,9 @@ enum class CondMode {
 };
 
 /// Truth value of the comparison a = b under each mode. The single
-/// authority for equality-atom semantics, shared by the per-tuple
-/// compiled predicate below and the columnar evaluator (eval/batch.h) —
-/// the two must agree bit-for-bit.
+/// authority for equality-atom semantics, shared by the reference
+/// evaluator below and the columnar evaluator (eval/batch.h) — the two
+/// must agree bit-for-bit.
 inline TV3 CondEqTV(const Value& a, const Value& b, CondMode mode) {
   switch (mode) {
     case CondMode::kNaive:
@@ -181,9 +185,13 @@ inline TV3 CondOrderTV(const Value& a, const Value& b, bool strict,
   return FromBool(strict ? cmp < 0 : cmp <= 0);
 }
 
-/// Resolves attribute names against a schema once; returns an error for
-/// unknown attributes. The returned evaluator computes the condition's
-/// Kleene truth value on a tuple of that schema (kNaive never yields u).
+/// The reference evaluator: resolves attribute names against a schema once
+/// (an error for unknown attributes) and returns a closure computing the
+/// condition's Kleene truth value on one tuple of that schema (kNaive
+/// never yields u). The engine evaluates conditions only through the
+/// columnar BatchPredicate program (eval/batch.h); this tree walk is the
+/// independent oracle the tests (the differential fuzzer's reference walk
+/// among them) and bench_micro's compiled_cond_eval compare it against.
 StatusOr<std::function<TV3(const Tuple&)>> CompileCond(
     const CondPtr& c, const std::vector<std::string>& attrs, CondMode mode);
 

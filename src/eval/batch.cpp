@@ -329,4 +329,63 @@ void BatchPredicate::EvalTruth(const Batch& b, Scratch* scratch,
   std::copy(res, res + b.rows, out);
 }
 
+PairSelector::PairSelector(const BatchPredicate& bp, size_t left_arity)
+    : bp_(bp), left_arity_(left_arity) {
+  size_t arity = 0;
+  for (size_t p : bp.referenced()) arity = std::max(arity, p + 1);
+  batch_.Reset(arity, 0);
+  swept_.resize(arity);
+  window_.resize(arity);
+}
+
+void PairSelector::Transpose(const std::vector<Relation::Row>& rows,
+                             bool right) {
+  swept_right_ = right;
+  for (size_t p : bp_.referenced()) {
+    if ((p >= left_arity_) != right) continue;
+    ColumnVector& col = swept_[p];
+    col.Clear();
+    col.Reserve(rows.size());
+    AppendColumn(rows, 0, rows.size(), right ? p - left_arity_ : p, &col);
+  }
+}
+
+const SelVector& PairSelector::SelectBroadcast(const Tuple& fixed,
+                                               size_t begin, size_t end) {
+  batch_.rows = end - begin;
+  for (size_t p : bp_.referenced()) {
+    const bool on_right = p >= left_arity_;
+    if (on_right == swept_right_) {
+      batch_.cols[p] = BatchColumn{swept_[p].data() + begin, 1};
+    } else {
+      batch_.cols[p] = BatchColumn{&fixed[on_right ? p - left_arity_ : p], 0};
+    }
+  }
+  return Select();
+}
+
+const SelVector& PairSelector::SelectPairs(
+    const std::vector<Relation::Row>& lrows,
+    const std::vector<Relation::Row>& rrows) {
+  batch_.rows = lids_.size();
+  for (size_t p : bp_.referenced()) {
+    ColumnVector& col = window_[p];
+    col.Clear();
+    col.Reserve(lids_.size());
+    if (p < left_arity_) {
+      for (uint32_t i : lids_) col.PushBack(lrows[i].first[p]);
+    } else {
+      for (uint32_t i : rids_) col.PushBack(rrows[i].first[p - left_arity_]);
+    }
+    batch_.cols[p] = BatchColumn{col.data(), 1};
+  }
+  return Select();
+}
+
+const SelVector& PairSelector::Select() {
+  sel_.clear();
+  bp_.SelectTrue(batch_, &scratch_, &sel_);
+  return sel_;
+}
+
 }  // namespace incdb

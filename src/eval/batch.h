@@ -9,14 +9,17 @@
 /// eval/exec.cpp transpose the columns a predicate actually touches into
 /// contiguous `Value` runs of EvalOptions::batch_size rows, evaluate the
 /// condition program column-at-a-time into a selection vector, and gather
-/// the surviving rows from the original row storage. The window size is a
-/// pure execution-layer setting: the selected rows, their order and their
-/// multiplicities are bit-identical at every batch size and agree with
-/// the scalar per-pair predicate (CompileCond) — the atom truth values are
-/// shared (CondEqTV / CondOrderTV in algebra/condition.h) and the Kleene
-/// connectives are branchless min/max over the f < u < t truth order
-/// (logic/kleene.cpp). The plan compiler (eval/plan.cpp) is the one place
-/// that builds these programs; plan nodes carry them.
+/// the surviving rows from the original row storage. Join residuals run
+/// the same program over (left row, right row) pairs through a
+/// PairSelector. The window size is a pure execution-layer setting: the
+/// selected rows, their order and their multiplicities are bit-identical
+/// at every batch size. The program is the engine's one condition
+/// evaluator. It agrees with the reference tree-walk evaluator of
+/// algebra/condition.h, which tests and bench_micro compare it against:
+/// the atom truth values are shared (CondEqTV / CondOrderTV) and the
+/// Kleene connectives are branchless min/max over the f < u < t truth
+/// order (logic/kleene.cpp). The plan compiler (eval/plan.cpp) is the one
+/// place that builds these programs; plan nodes carry them.
 
 #include <cstdint>
 #include <vector>
@@ -110,7 +113,7 @@ class BatchGather {
 /// The condition AST is flattened into a postorder instruction list over a
 /// small stack of truth-value registers (one byte per row per register).
 /// Atoms loop down a column calling the same CondEqTV / CondOrderTV the
-/// scalar predicate uses; ∧/∨ combine registers with branchless min/max
+/// reference evaluator uses; ∧/∨ combine registers with branchless min/max
 /// (Kleene's tables over the f < u < t order); ¬ folds into the ≠ atoms as
 /// 2 − x. Evaluation is re-entrant: callers pass their own Scratch, so
 /// pool workers can share one compiled program.
@@ -122,8 +125,8 @@ class BatchPredicate {
   };
 
   /// Compiles `c` against the input schema `attrs` for `mode`, resolving
-  /// attribute names exactly like CompileCond (same errors on unknown
-  /// attributes).
+  /// attribute names exactly like the reference evaluator (same errors on
+  /// unknown attributes).
   static StatusOr<BatchPredicate> Make(const CondPtr& c,
                                        const std::vector<std::string>& attrs,
                                        CondMode mode);
@@ -170,6 +173,70 @@ class BatchPredicate {
   uint32_t n_regs_ = 0;
   CondMode mode_ = CondMode::kNaive;
   std::vector<size_t> referenced_;
+};
+
+/// \brief Runs a join condition's columnar program over (left row, right
+/// row) pairs without concatenating them. The program is compiled against
+/// the joint schema: the `left_arity` left columns, then the right ones.
+///
+/// Two entry points:
+///  * broadcast — one fixed tuple against a contiguous range of the other
+///    side. Transpose() copies the swept side's referenced columns once per
+///    operator; SelectBroadcast() pins the fixed tuple's components with
+///    stride 0. Used by the NL join, correlated [NOT] IN, the un-hashed
+///    semijoin and UnifyJoin's null-key sweeps.
+///  * pair window — candidate (left row, right row) index pairs collected
+///    across probe rows with AddPair(); SelectPairs() gathers left
+///    positions from the left rows and right positions from the right rows
+///    and runs one SelectTrue over the window. Used by hash-join buckets,
+///    hashed-semijoin buckets and UnifyJoin bucket + null-list candidates.
+///
+/// Selections come back in candidate order. Each selector owns its columns
+/// and register scratch, so pool workers build one each over the one
+/// shared program.
+class PairSelector {
+ public:
+  PairSelector(const BatchPredicate& bp, size_t left_arity);
+
+  /// Broadcast: transposes the referenced columns of `rows`, the swept
+  /// side (the right input when `right`, else the left one).
+  void Transpose(const std::vector<Relation::Row>& rows, bool right);
+
+  /// Broadcast: indices (relative to `begin`) of the swept rows in
+  /// [begin, end) whose pair with `fixed`, a row of the other side,
+  /// satisfies the condition. Valid until the next Select call.
+  const SelVector& SelectBroadcast(const Tuple& fixed, size_t begin,
+                                   size_t end);
+
+  /// Pair window: queues the candidate pair (lrows[l], rrows[r]).
+  void AddPair(uint32_t l, uint32_t r) {
+    lids_.push_back(l);
+    rids_.push_back(r);
+  }
+  size_t pending() const { return lids_.size(); }
+  /// Pair window: window positions k of the queued pairs that satisfy the
+  /// condition; the pair is (left(k), right(k)).
+  const SelVector& SelectPairs(const std::vector<Relation::Row>& lrows,
+                               const std::vector<Relation::Row>& rrows);
+  uint32_t left(size_t k) const { return lids_[k]; }
+  uint32_t right(size_t k) const { return rids_[k]; }
+  void ClearPairs() {
+    lids_.clear();
+    rids_.clear();
+  }
+
+ private:
+  const SelVector& Select();
+
+  const BatchPredicate& bp_;
+  size_t left_arity_;
+  bool swept_right_ = true;
+  std::vector<ColumnVector> swept_;   ///< broadcast: transposed swept side
+  std::vector<ColumnVector> window_;  ///< pair window: gathered candidates
+  std::vector<uint32_t> lids_, rids_;
+  Batch batch_;
+  BatchPredicate::Scratch scratch_;
+  SelVector sel_;
 };
 
 }  // namespace incdb

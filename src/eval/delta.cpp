@@ -2,10 +2,10 @@
 //
 // The propagator mirrors the executor's emit semantics operator by
 // operator (exec.cpp is the authority): same predicate truth threshold,
-// same multiplicity arithmetic, same set-semantics collapses, same SQL
-// null-key skips in the hash join. Maintained results must be
-// bag-identical to cold recomputation — the differential fuzzer crosses
-// the two paths.
+// same multiplicity arithmetic, same set-semantics collapses; the joins
+// run the executor's own row kernels (eval/join_rows.h). Maintained results
+// must be bag-identical to cold recomputation — the differential fuzzer
+// crosses the two paths.
 
 #include "eval/delta.h"
 
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "eval/batch.h"
-#include "eval/unify_join.h"
+#include "eval/join_rows.h"
 #include "eval/verify.h"
 
 namespace incdb {
@@ -253,72 +253,27 @@ class DeltaPropagator {
     return out;
   }
 
-  /// Joins two row sets with the executor's emit semantics: residual
-  /// predicate at kT, multiplicity lc·rc (1 under set semantics), fused
-  /// projection at emit time. kHashJoin indexes the smaller input on its
-  /// key columns (SQL mode skips null keys on both sides, like the
-  /// executor); kNLJoin sweeps all pairs; kUnifyJoin runs the executor's
-  /// own loop (UnifyJoinRows).
+  /// Joins two row sets with the executor's own kernel for the node's
+  /// join kind (eval/join_rows.h): same residual threshold, multiplicities,
+  /// fused projection and SQL null-key skips. No checkpoints; every emitted
+  /// row inserts into `out`, which may already hold rows of the other
+  /// delta term.
   Status JoinInto(const PhysNode& n, const std::vector<Relation::Row>& lrows,
                   const std::vector<Relation::Row>& rrows, Relation* out) {
-    if (lrows.empty() || rrows.empty()) return Status::OK();
-    if (n.op == PhysOp::kUnifyJoin) {
-      return UnifyJoinRows(
-          n, set(), plan_->opts.batch_size, lrows, rrows,
-          [](uint64_t) { return Status::OK(); },
-          [out](const Tuple& t, uint64_t c, bool) {
-            return out->Insert(t, c);
-          });
-    }
-    Tuple joint, projected, key;
-    const auto emit = [&](const Tuple& lt, uint64_t lc, const Tuple& rt,
-                          uint64_t rc) -> Status {
-      joint.AssignConcat(lt, rt);
-      if (n.pred(joint) != TV3::kT) return Status::OK();
-      const uint64_t c = set() ? 1 : lc * rc;
-      if (n.fused_proj) {
-        projected.AssignProject(joint, n.proj_pos);
-        return out->Insert(projected, c);
-      }
-      return out->Insert(joint, c);
+    const size_t window = plan_->opts.batch_size;
+    auto tick = [](uint64_t) { return Status::OK(); };
+    auto emit = [out](const Tuple& t, uint64_t c, bool) {
+      return out->Insert(t, c);
     };
-    if (n.op != PhysOp::kHashJoin) {
-      for (const auto& [lt, lc] : lrows) {
-        for (const auto& [rt, rc] : rrows) {
-          INCDB_RETURN_IF_ERROR(emit(lt, lc, rt, rc));
-        }
-      }
-      return Status::OK();
+    switch (n.op) {
+      case PhysOp::kHashJoin:
+        return HashJoinRows(n, set(), sql(), window, lrows, rrows, 0, 1, tick,
+                            emit);
+      case PhysOp::kNLJoin:
+        return NLJoinRows(n, set(), window, lrows, rrows, 0, 1, tick, emit);
+      default:
+        return UnifyJoinRows(n, set(), window, lrows, rrows, tick, emit);
     }
-    const bool skip_null_keys = sql();
-    const bool index_left = lrows.size() <= rrows.size();
-    const auto& irows = index_left ? lrows : rrows;
-    const auto& ikeys = index_left ? n.lkeys : n.rkeys;
-    const auto& srows = index_left ? rrows : lrows;
-    const auto& skeys = index_left ? n.rkeys : n.lkeys;
-    std::unordered_multimap<size_t, uint32_t> idx;
-    idx.reserve(irows.size());
-    for (uint32_t i = 0; i < irows.size(); ++i) {
-      key.AssignProject(irows[i].first, ikeys);
-      if (skip_null_keys && key.HasNull()) continue;
-      idx.emplace(key.Hash(), i);
-    }
-    for (const auto& [st, sc] : srows) {
-      key.AssignProject(st, skeys);
-      if (skip_null_keys && key.HasNull()) continue;
-      auto [lo, hi] = idx.equal_range(key.Hash());
-      for (auto it = lo; it != hi; ++it) {
-        const auto& [bt, bc] = irows[it->second];
-        bool eq = true;
-        for (size_t k = 0; k < ikeys.size() && eq; ++k) {
-          eq = bt[ikeys[k]] == st[skeys[k]];
-        }
-        if (!eq) continue;
-        INCDB_RETURN_IF_ERROR(index_left ? emit(bt, bc, st, sc)
-                                         : emit(st, sc, bt, bc));
-      }
-    }
-    return Status::OK();
   }
 
   PlanPtr plan_;

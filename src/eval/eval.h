@@ -84,11 +84,12 @@ struct EvalOptions {
   /// this to 0 to force the parallel paths on tiny inputs.
   size_t parallel_min_rows = 1024;
   /// Rows per columnar chunk of the vectorized operator loops
-  /// (eval/batch.h): filters and the join probe loops transpose this many
-  /// rows at a time, evaluate the condition program column-wise into a
-  /// selection vector, and fire deadline/cancel checkpoints once per
-  /// batch. 1 is the row-at-a-time cadence; 0 resolves to 1 at plan-compile
-  /// time (ResolveBatchSize in eval/plan.h). Never changes results — rows,
+  /// (eval/batch.h): filters transpose this many rows at a time, join
+  /// residuals select this many candidate pairs (or swept rows) at a time,
+  /// both evaluating the condition program column-wise into a selection
+  /// vector, and deadline/cancel checkpoints fire once per batch. 1 is the
+  /// row-at-a-time cadence; 0 resolves to 1 at plan-compile time
+  /// (ResolveBatchSize in eval/plan.h). Never changes results — rows,
   /// order and multiplicities are bit-identical at every batch size (the
   /// differential fuzzer crosses 1/3/1024).
   size_t batch_size = 1024;

@@ -12,13 +12,16 @@
 //    contiguous chunks and merge chunk outputs in chunk order, which
 //    reproduces the exact sequential insertion order at any thread count.
 //
-// The null-aware unification join (eval/unify_join.h) always runs
-// sequentially, so its row order is the same at every thread count.
+// Each join kind runs one row kernel (eval/join_rows.h) in every setting:
+// sequentially, per hash partition or NL chunk, and in delta maintenance.
+// The null-aware unification join always runs sequentially, so its row
+// order is the same at every thread count.
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -29,10 +32,10 @@
 #include "core/fault.h"
 #include "eval/batch.h"
 #include "eval/eval.h"
+#include "eval/join_rows.h"
 #include "eval/parallel_policy.h"
 #include "eval/plan.h"
 #include "eval/unify_index.h"
-#include "eval/unify_join.h"
 
 namespace incdb {
 
@@ -152,49 +155,6 @@ class ExecPool {
   size_t n_workers_ = 0;
 };
 
-/// \brief Columnar machinery for the nested-loop join paths.
-///
-/// The predicate-referenced right-side columns are transposed once at
-/// construction; per left row the left-side components broadcast with
-/// stride 0 and the condition program sweeps windows of right rows. Each
-/// pool worker owns its own NLBatcher (construction is O(right rows ×
-/// referenced columns), negligible against the pair loop it accelerates).
-class NLBatcher {
- public:
-  NLBatcher(const BatchPredicate& bp, const std::vector<Relation::Row>& rrows,
-            size_t left_arity, size_t joint_arity)
-      : bp_(bp), left_arity_(left_arity) {
-    batch_.Reset(joint_arity, 0);
-    rcols_.resize(joint_arity);
-    for (size_t p : bp.referenced()) {
-      if (p < left_arity_) continue;
-      rcols_[p].Reserve(rrows.size());
-      AppendColumn(rrows, 0, rrows.size(), p - left_arity_, &rcols_[p]);
-    }
-  }
-
-  /// Appends to `sel` the indices (relative to `begin`) of the right rows
-  /// in [begin, end) whose joint pair with `lt` satisfies the condition.
-  void Select(const Tuple& lt, size_t begin, size_t end,
-              BatchPredicate::Scratch* scratch, SelVector* sel) {
-    batch_.rows = end - begin;
-    for (size_t p : bp_.referenced()) {
-      if (p < left_arity_) {
-        batch_.cols[p] = BatchColumn{&lt[p], 0};  // broadcast
-      } else {
-        batch_.cols[p] = BatchColumn{rcols_[p].data() + begin, 1};
-      }
-    }
-    bp_.SelectTrue(batch_, scratch, sel);
-  }
-
- private:
-  const BatchPredicate& bp_;
-  size_t left_arity_;
-  std::vector<ColumnVector> rcols_;
-  Batch batch_;
-};
-
 class Executor {
  public:
   Executor(const Plan& plan, const Database& db, const ExecContext& ctx)
@@ -241,18 +201,19 @@ class Executor {
     return ctx_->Check(mem_used_);
   }
 
+  Status TooManyTuples(uint64_t used) const {
+    StatusDetail d;
+    d.budget_used = used;
+    d.budget_limit = plan_.opts.max_tuples;
+    return Status::ResourceExhausted("evaluation exceeded max_tuples=" +
+                                     std::to_string(plan_.opts.max_tuples))
+        .WithDetail(std::move(d));
+  }
+
   Status Budget(uint64_t produced, size_t arity) {
     produced_ += produced;
     mem_used_ += produced * arity * sizeof(Value);
-    if (produced_ > plan_.opts.max_tuples) {
-      StatusDetail d;
-      d.budget_used = produced_;
-      d.budget_limit = plan_.opts.max_tuples;
-      return Status::ResourceExhausted(
-                 "evaluation exceeded max_tuples=" +
-                 std::to_string(plan_.opts.max_tuples))
-          .WithDetail(std::move(d));
-    }
+    if (produced_ > plan_.opts.max_tuples) return TooManyTuples(produced_);
     // The soft memory budget is enforced on the same cadence as the tuple
     // budget: every materializing operator reports here.
     if (limited_ && ctx_->soft_mem_limit_bytes != 0) {
@@ -285,44 +246,15 @@ class Executor {
     ExecPool::Get().Run(P, std::min(P, hw), std::forward<Fn>(fn));
   }
 
-  /// Runs work(chunk, begin, end) over num_threads contiguous chunks of
-  /// [0, n) on the pool; chunk outputs merged in chunk index order
-  /// reproduce the exact sequential row order. Returns per-chunk statuses.
-  template <typename Fn>
-  std::vector<Status> RunChunks(size_t n, Fn&& work) {
-    const size_t P = plan_.opts.num_threads;
-    std::vector<Status> stats(P, Status::OK());
-    RunPartitions(P, [&](size_t p) {
-      stats[p] = work(p, n * p / P, n * (p + 1) / P);
-    });
-    return stats;
-  }
-
-  /// Merges per-chunk emitted rows in chunk order. The rows must be
-  /// distinct across all chunks (each is derived from a distinct left
-  /// row), so the duplicate probe is skipped.
-  Status MergeChunksUnique(std::vector<std::vector<Relation::Row>>& parts,
-                           Relation* out) {
-    size_t total = 0;
-    for (const auto& part : parts) total += part.size();
-    out->Reserve(total);
-    for (auto& part : parts) {
-      for (auto& [t, c] : part) {
-        INCDB_RETURN_IF_ERROR(out->InsertUnique(std::move(t), c));
-      }
-    }
-    return Status::OK();
-  }
-
-  /// Canonical merge for the parallel joins: partition outputs land in
-  /// partition-index order. With a fused projection distinct pairs may
-  /// collapse, so rows insert with the duplicate probe and multiplicities
-  /// normalise at the end; without one the emitted pairs are globally
-  /// distinct (each pair joins in exactly one partition) and the probe is
-  /// skipped. Emitted multiplicities count against the budget.
-  StatusOr<RelationView> MergeJoinParts(
-      std::vector<std::vector<Relation::Row>>& parts, const PhysNode& n,
-      bool has_proj, bool set) {
+  /// Canonical merge of partitioned output: parts land in part-index
+  /// order. With a fused projection distinct pairs may collapse, so rows
+  /// insert with the duplicate probe and multiplicities normalise at the
+  /// end under set semantics; otherwise the emitted rows are globally
+  /// distinct (each join pair joins in exactly one partition, each left
+  /// row lives in one chunk) and the probe is skipped. Emitted
+  /// multiplicities count against the budget.
+  StatusOr<RelationView> MergeParts(std::vector<Rows>& parts,
+                                    const PhysNode& n) {
     Relation out(n.attrs);
     size_t emitted_rows = 0;
     uint64_t total = 0;
@@ -333,7 +265,7 @@ class Executor {
     out.Reserve(emitted_rows);
     for (auto& part : parts) {
       for (auto& [t, c] : part) {
-        if (has_proj) {
+        if (n.fused_proj) {
           INCDB_RETURN_IF_ERROR(out.Insert(std::move(t), c));
         } else {
           INCDB_RETURN_IF_ERROR(out.InsertUnique(std::move(t), c));
@@ -341,8 +273,116 @@ class Executor {
       }
     }
     INCDB_RETURN_IF_ERROR(Budget(total, n.attrs.size()));
-    if (has_proj && set) out.CollapseCounts();
+    if (n.fused_proj && set_semantics()) out.CollapseCounts();
     return RelationView::Own(std::move(out));
+  }
+
+  /// Runs `body(tick, emit)` — a row loop with the join kernels' hooks
+  /// (eval/join_rows.h) — sequentially: checkpoints on the executor's
+  /// schedule, rows inserted into the output (no duplicate probe for
+  /// distinct ones) and charged to the budget per emitted multiplicity.
+  /// With a fused projection under set semantics, distinct pairs may
+  /// collapse; multiplicities normalise at the end.
+  template <typename Body>
+  StatusOr<RelationView> RunSequential(const PhysNode& n, size_t reserve,
+                                       Body&& body) {
+    Relation out(n.attrs);
+    out.Reserve(reserve);
+    auto tick = [this](uint64_t units) { return Checkpoint(units); };
+    auto emit = [&](const Tuple& t, uint64_t c, bool distinct) -> Status {
+      INCDB_RETURN_IF_ERROR(distinct ? out.InsertUnique(t, c)
+                                     : out.Insert(t, c));
+      return Budget(c, n.attrs.size());
+    };
+    INCDB_RETURN_IF_ERROR(body(tick, emit));
+    if (n.fused_proj && set_semantics()) out.CollapseCounts();
+    return RelationView::Own(std::move(out));
+  }
+
+  /// Runs `body(part, parts, tick, emit)`, a row loop with the join
+  /// kernels' hooks over partition `part` of `parts`: on the pool with one
+  /// worker per partition (num_threads of them) when `parallel`, merged
+  /// in partition-index order, else as the single partition of one
+  /// sequential call.
+  template <typename Body>
+  StatusOr<RelationView> RunParallel(const PhysNode& n, bool parallel,
+                                     Body&& body) {
+    if (!parallel) {
+      return RunSequential(n, 0, [&](auto& tick, auto& emit) {
+        return body(size_t{0}, size_t{1}, tick, emit);
+      });
+    }
+    INCDB_FAULT_POINT("exec.pool_dispatch");
+    const size_t P = plan_.opts.num_threads;
+    std::vector<Rows> parts(P);
+    std::vector<Status> stats(P, Status::OK());
+    // The tuple budget is enforced cooperatively: workers add their
+    // emissions to a shared counter every 4096 rows and stop once the
+    // total crosses what the budget has left (overshoot is bounded by one
+    // report interval per worker); the merge charges the exact total.
+    std::atomic<uint64_t> emitted{0};
+    const uint64_t budget_left =
+        plan_.opts.max_tuples > produced_ ? plan_.opts.max_tuples - produced_
+                                          : 0;
+    RunPartitions(P, [&](size_t p) {
+      // Checkpoints follow Checkpoint()'s schedule on a worker-local
+      // counter: a deadline or a Cancel() from another thread stops every
+      // worker within one interval. Partial outputs are discarded below and
+      // the pool stays reusable (ExecPool::Run drains every task body).
+      uint64_t visited = 0, unreported = 0;
+      auto tick = [&](uint64_t units) -> Status {
+        if (!limited_ || (visited += units) < kCheckpointInterval) {
+          return Status::OK();
+        }
+        visited = 0;
+        return ctx_->Check();
+      };
+      auto emit = [&](const Tuple& t, uint64_t c, bool) -> Status {
+        parts[p].emplace_back(t, c);
+        if (++unreported < 4096) return Status::OK();
+        const uint64_t total =
+            emitted.fetch_add(unreported, std::memory_order_relaxed) +
+            unreported;
+        unreported = 0;
+        return total <= budget_left ? Status::OK()
+                                    : TooManyTuples(produced_ + total);
+      };
+      stats[p] = body(p, P, tick, emit);
+    });
+    for (const Status& st : stats) {
+      INCDB_RETURN_IF_ERROR(st);
+    }
+    return MergeParts(parts, n);
+  }
+
+  /// The left rows of difference/NOT IN and ⋉⇑, each keeping the
+  /// multiplicity `kept(t, c, &scratch)` (0 drops it); left rows are
+  /// distinct, so each survivor is a fresh row. Split into contiguous
+  /// chunks across the pool when profitable (`weight` is the work
+  /// estimate), which keeps the sequential row order; `kept` must be safe
+  /// to call from pool workers, each passing its own scratch tuple.
+  template <typename Kept>
+  StatusOr<RelationView> KeepLeftRows(const PhysNode& n, const Rows& lrows,
+                                      size_t weight, ChunkOp op,
+                                      Kept&& kept) {
+    return RunParallel(
+        n, UseChunkParallelism(lrows.size(), weight, op),
+        [&](size_t part, size_t parts, auto& tick, auto& emit) -> Status {
+          const size_t end = lrows.size() * (part + 1) / parts;
+          Tuple scratch;
+          for (size_t wb = lrows.size() * part / parts; wb < end;
+               wb += batch_size()) {
+            const size_t we = std::min(end, wb + batch_size());
+            INCDB_RETURN_IF_ERROR(tick(we - wb));
+            for (size_t i = wb; i < we; ++i) {
+              const auto& [t, c] = lrows[i];
+              if (uint64_t kc = kept(t, c, &scratch)) {
+                INCDB_RETURN_IF_ERROR(emit(t, kc, true));
+              }
+            }
+          }
+          return Status::OK();
+        });
   }
 
   StatusOr<RelationView> Eval(const PhysPtr& np) {
@@ -364,9 +404,8 @@ class Executor {
       }
       case PhysOp::kHashJoin:
       case PhysOp::kNLJoin:
-        return EvalJoin(n);
       case PhysOp::kUnifyJoin:
-        return EvalUnifyJoin(n);
+        return EvalJoin(n);
       case PhysOp::kUnion:
         return EvalUnion(n);
       case PhysOp::kHashDiff:
@@ -500,7 +539,7 @@ class Executor {
     }
     // Multiplicity a left row keeps (0 drops it). Pure reads of the shared
     // right-side view and null_rows: safe to call from pool workers.
-    auto kept_count = [&](const Tuple& t, uint64_t c) -> uint64_t {
+    auto kept_count = [&](const Tuple& t, uint64_t c, Tuple*) -> uint64_t {
       if (sql) {
         // NOT IN semantics: keep r̄ only if the comparison with *every*
         // tuple of the right side is certainly false (never t or u).
@@ -525,47 +564,8 @@ class Executor {
       return c > rc ? c - rc : 0;  // bag monus
     };
 
-    const std::vector<Relation::Row>& lrows = l->rows();
-    Relation out(n.attrs);
-    if (UseChunkParallelism(lrows.size(), lrows.size() + r->rows().size(),
-                            ChunkOp::kDifference)) {
-      INCDB_FAULT_POINT("exec.pool_dispatch");
-      std::vector<std::vector<Relation::Row>> parts(plan_.opts.num_threads);
-      auto stats = RunChunks(
-          lrows.size(), [&](size_t p, size_t begin, size_t end) -> Status {
-            uint64_t visited = 0;
-            for (size_t i = begin; i < end; ++i) {
-              if (limited_ && ++visited >= kCheckpointInterval) {
-                visited = 0;
-                INCDB_RETURN_IF_ERROR(ctx_->Check());
-              }
-              const auto& [t, c] = lrows[i];
-              if (uint64_t kc = kept_count(t, c)) parts[p].emplace_back(t, kc);
-            }
-            return Status::OK();
-          });
-      for (const Status& st : stats) {
-        INCDB_RETURN_IF_ERROR(st);
-      }
-      INCDB_RETURN_IF_ERROR(MergeChunksUnique(parts, &out));
-      INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-      return RelationView::Own(std::move(out));
-    }
-    // Sequential probe loop; checkpoints fire once per window (the probes
-    // themselves are already one hash lookup).
-    for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
-      const size_t end = std::min(lrows.size(), begin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-      for (size_t i = begin; i < end; ++i) {
-        const auto& [t, c] = lrows[i];
-        // Left rows are distinct, so each survivor inserts a fresh tuple.
-        if (uint64_t kc = kept_count(t, c)) {
-          INCDB_RETURN_IF_ERROR(out.InsertUnique(t, kc));
-        }
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+    return KeepLeftRows(n, l->rows(), l->rows().size() + r->rows().size(),
+                        ChunkOp::kDifference, kept_count);
   }
 
   StatusOr<RelationView> EvalIntersect(const PhysNode& n) {
@@ -630,50 +630,14 @@ class Executor {
     // The index is built once on the calling thread; probes are const and
     // re-entrant (each worker owns its scratch tuple).
     UnifyIndex index(r->rows(), r->arity(), plan_.opts.enable_unify_index);
-    const std::vector<Relation::Row>& lrows = l->rows();
     const bool set = set_semantics();
-    Relation out(n.attrs);
-    if (UseChunkParallelism(lrows.size(), lrows.size() + r->rows().size(),
-                            ChunkOp::kUnifySemiJoin)) {
-      INCDB_FAULT_POINT("exec.pool_dispatch");
-      std::vector<std::vector<Relation::Row>> parts(plan_.opts.num_threads);
-      auto stats = RunChunks(
-          lrows.size(), [&](size_t p, size_t begin, size_t end) -> Status {
-            Tuple scratch;
-            uint64_t visited = 0;
-            for (size_t i = begin; i < end; ++i) {
-              if (limited_ && ++visited >= kCheckpointInterval) {
-                visited = 0;
-                INCDB_RETURN_IF_ERROR(ctx_->Check());
-              }
-              const auto& [t, c] = lrows[i];
-              if (!index.AnyUnifiable(t, &scratch)) {
-                parts[p].emplace_back(t, set ? 1 : c);
-              }
-            }
-            return Status::OK();
-          });
-      for (const Status& st : stats) {
-        INCDB_RETURN_IF_ERROR(st);
-      }
-      INCDB_RETURN_IF_ERROR(MergeChunksUnique(parts, &out));
-      INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-      return RelationView::Own(std::move(out));
-    }
-    Tuple scratch;
-    // Checkpoints fire once per window of probes.
-    for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
-      const size_t end = std::min(lrows.size(), begin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-      for (size_t i = begin; i < end; ++i) {
-        const auto& [t, c] = lrows[i];
-        if (!index.AnyUnifiable(t, &scratch)) {
-          INCDB_RETURN_IF_ERROR(out.InsertUnique(t, set ? 1 : c));
-        }
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+    return KeepLeftRows(
+        n, l->rows(), l->rows().size() + r->rows().size(),
+        ChunkOp::kUnifySemiJoin,
+        [&](const Tuple& t, uint64_t c, Tuple* scratch) -> uint64_t {
+          if (index.AnyUnifiable(t, scratch)) return 0;
+          return set ? 1 : c;
+        });
   }
 
   StatusOr<RelationView> EvalDom(const PhysNode& n) {
@@ -725,55 +689,70 @@ class Executor {
     if (!l.ok()) return l;
     auto r = Eval(n.right);
     if (!r.ok()) return r;
+    const Rows& lrows = l->rows();
+    const Rows& rrows = r->rows();
     // Equality with a null key never evaluates to t in either mode unless
     // syntactically equal (naive) — the hash covers both, as naive equality
     // is exactly key identity and SQL-mode null keys are skipped. The index
-    // references right rows in place instead of copying them.
-    std::unordered_map<Tuple, std::vector<const Tuple*>> index;
+    // holds right row ids instead of copies.
+    std::unordered_map<Tuple, std::vector<uint32_t>> index;
     const bool hashed = !n.lkeys.empty();
-    Tuple key, joint_t;  // scratch, reused across probes
+    Tuple key;  // scratch, reused across probes
     if (hashed) {
-      index.reserve(r->rows().size());
-      for (const auto& [rt, rc] : r->rows()) {
-        key.AssignProject(rt, n.rkeys);
+      index.reserve(rrows.size());
+      for (uint32_t i = 0; i < rrows.size(); ++i) {
+        key.AssignProject(rrows[i].first, n.rkeys);
         if (sql_mode() && key.HasNull()) continue;
-        index[key].push_back(&rt);
+        index[key].push_back(i);
       }
     }
-    auto exists_match = [&](const Tuple& lt) -> bool {
-      if (!hashed) {
-        for (const auto& [rt, rc] : r->rows()) {
-          joint_t.AssignConcat(lt, rt);
-          if (n.pred(joint_t) == TV3::kT) return true;
-        }
-        return false;
-      }
-      key.AssignProject(lt, n.lkeys);
-      if (sql_mode() && key.HasNull()) return false;
-      auto it = index.find(key);
-      if (it == index.end()) return false;
-      if (n.trivial_residual) return true;  // any key match suffices
-      for (const Tuple* rt : it->second) {
-        joint_t.AssignConcat(lt, *rt);
-        if (n.pred(joint_t) == TV3::kT) return true;
-      }
-      return false;
+    // A residual selects partners from bucket candidates in pair windows,
+    // or, with no hashable key, from broadcast sweeps of the right rows
+    // that stop at the first window with a partner. Verdicts land once the
+    // window of left rows has been selected.
+    std::vector<char> matched;  // per left row of the current window
+    size_t begin = 0;
+    auto mark = [&](uint32_t li, uint32_t) {
+      matched[li - begin] = 1;
+      return Status::OK();
     };
-
+    JoinPairs pairs(n, batch_size(), lrows, rrows, mark);
+    const bool trivial = n.cond->kind == CondKind::kTrue;
     Relation out(n.attrs);
     // Checkpoint weight follows the work: the un-hashed fallback scans the
-    // whole right side per left row. The index is probed window-at-a-time,
-    // checkpointing once per window.
-    const uint64_t probe_weight = hashed ? 1 : 1 + r->rows().size();
-    const std::vector<Relation::Row>& probe_lrows = l->rows();
-    for (size_t begin = 0; begin < probe_lrows.size(); begin += batch_size()) {
-      const size_t end = std::min(probe_lrows.size(), begin + batch_size());
+    // whole right side per left row. Checkpoints fire once per window.
+    const uint64_t probe_weight = hashed ? 1 : 1 + rrows.size();
+    for (; begin < lrows.size(); begin += batch_size()) {
+      const size_t end = std::min(lrows.size(), begin + batch_size());
       INCDB_RETURN_IF_ERROR(Checkpoint(probe_weight * (end - begin)));
+      matched.assign(end - begin, 0);
       for (size_t i = begin; i < end; ++i) {
-        const auto& [lt, lc] = probe_lrows[i];
-        if (exists_match(lt) != n.anti) {
-          INCDB_RETURN_IF_ERROR(out.Insert(lt, set_semantics() ? 1 : lc));
+        const uint32_t li = static_cast<uint32_t>(i);
+        char& m = matched[i - begin];
+        if (!hashed) {
+          for (size_t wb = 0; wb < rrows.size() && !m; wb += batch_size()) {
+            const size_t we = std::min(rrows.size(), wb + batch_size());
+            INCDB_RETURN_IF_ERROR(pairs.Sweep(/*fixed_left=*/true, li, wb, we));
+          }
+          continue;
         }
+        key.AssignProject(lrows[i].first, n.lkeys);
+        if (sql_mode() && key.HasNull()) continue;
+        auto it = index.find(key);
+        if (it == index.end()) continue;
+        if (trivial) {
+          m = 1;  // any key match suffices
+          continue;
+        }
+        for (size_t j = 0; j < it->second.size() && !m; ++j) {
+          INCDB_RETURN_IF_ERROR(pairs.Add(li, it->second[j]));
+        }
+      }
+      INCDB_RETURN_IF_ERROR(pairs.Flush());
+      for (size_t i = begin; i < end; ++i) {
+        if ((matched[i - begin] != 0) == n.anti) continue;
+        const auto& [lt, lc] = lrows[i];
+        INCDB_RETURN_IF_ERROR(out.Insert(lt, set_semantics() ? 1 : lc));
       }
     }
     INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
@@ -795,6 +774,9 @@ class Executor {
     auto r = Eval(n.right);
     if (!r.ok()) return r;
     const bool negated = n.anti;
+    const bool correlated = n.cond->kind != CondKind::kTrue;
+    const Rows& lrows = l->rows();
+    const Rows& rrows = r->rows();
 
     // Uncorrelated fast path: precompute the key multiset once. Keys
     // involving nulls are listed separately: under SQL 3VL they are the
@@ -803,9 +785,9 @@ class Executor {
     std::unordered_map<Tuple, uint64_t> keys;
     std::vector<const Tuple*> null_keys;
     Tuple key_scratch;
-    if (!n.correlated) {
-      keys.reserve(r->rows().size());
-      for (const auto& [rt, rc] : r->rows()) {
+    if (!correlated) {
+      keys.reserve(rrows.size());
+      for (const auto& [rt, rc] : rrows) {
         key_scratch.AssignProject(rt, n.rpos);
         auto [it, inserted] = keys.try_emplace(key_scratch, rc);
         if (!inserted) {
@@ -815,470 +797,143 @@ class Executor {
         }
       }
     }
+    Tuple lkey;  // scratch, reused across rows
+    auto keep_uncorrelated = [&]() -> bool {
+      if (!sql_mode()) return (keys.count(lkey) > 0) != negated;
+      if (!negated) return lkey.AllConst() && keys.count(lkey) > 0;
+      // NOT IN: all comparisons must be certainly false. All-constant
+      // pairs compare t exactly when syntactically equal, so an
+      // all-constant left key needs one hash miss plus a scan of the
+      // (typically few) null-involving right keys; a left key with a null
+      // keeps the pairwise 3VL scan.
+      if (keys.empty()) return true;
+      if (lkey.AllConst()) {
+        if (keys.count(lkey) > 0) return false;
+        for (const Tuple* nk : null_keys) {
+          if (SqlTupleEq(lkey, *nk) != TV3::kF) return false;
+        }
+        return true;
+      }
+      for (const auto& [rk, rc] : keys) {
+        if (SqlTupleEq(lkey, rk) != TV3::kF) return false;
+      }
+      return true;
+    };
+    // Correlated: θ(l·r) = t selects the right rows (broadcast sweeps of
+    // the node's program), whose compare columns are then tested.
+    bool exists_t = false, all_f = true;
+    Tuple rkey;  // scratch, reused across pairs
+    auto compare = [&](uint32_t, uint32_t ri) {
+      rkey.AssignProject(rrows[ri].first, n.rpos);
+      const TV3 tv =
+          sql_mode() ? SqlTupleEq(lkey, rkey) : FromBool(lkey == rkey);
+      if (tv == TV3::kT) exists_t = true;
+      if (tv != TV3::kF) all_f = false;
+      return Status::OK();
+    };
+    JoinPairs pairs(n, batch_size(), lrows, rrows, compare);
 
     Relation out(n.attrs);
-    Tuple lkey, rkey, joint_t;  // scratch, reused across rows and pairs
     // The correlated path re-scans the right side per left row.
     // Checkpoints fire once per window of left rows.
-    const uint64_t row_weight = n.correlated ? 1 + r->rows().size() : 1;
-    const std::vector<Relation::Row>& in_lrows = l->rows();
-    for (size_t wbegin = 0; wbegin < in_lrows.size();
-         wbegin += batch_size()) {
-      const size_t wend = std::min(in_lrows.size(), wbegin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(row_weight * (wend - wbegin)));
-      for (size_t wi = wbegin; wi < wend; ++wi) {
-      const auto& [lt, lc] = in_lrows[wi];
-      lkey.AssignProject(lt, n.lpos);
-      bool keep;
-      if (!n.correlated) {
-        if (!sql_mode()) {
-          bool found = keys.count(lkey) > 0;
-          keep = negated ? !found : found;
-        } else if (!negated) {
-          keep = lkey.AllConst() && keys.count(lkey) > 0;
+    const uint64_t row_weight = correlated ? 1 + rrows.size() : 1;
+    for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
+      const size_t end = std::min(lrows.size(), begin + batch_size());
+      INCDB_RETURN_IF_ERROR(Checkpoint(row_weight * (end - begin)));
+      for (size_t i = begin; i < end; ++i) {
+        const auto& [lt, lc] = lrows[i];
+        lkey.AssignProject(lt, n.lpos);
+        bool keep;
+        if (correlated) {
+          exists_t = false;
+          all_f = true;
+          for (size_t wb = 0; wb < rrows.size(); wb += batch_size()) {
+            const size_t we = std::min(rrows.size(), wb + batch_size());
+            INCDB_RETURN_IF_ERROR(pairs.Sweep(
+                /*fixed_left=*/true, static_cast<uint32_t>(i), wb, we));
+          }
+          keep = negated ? all_f : exists_t;
         } else {
-          // NOT IN: all comparisons must be certainly false. All-constant
-          // pairs compare t exactly when syntactically equal, so an
-          // all-constant left key needs one hash miss plus a scan of the
-          // (typically few) null-involving right keys; a left key with a
-          // null keeps the pairwise 3VL scan.
-          if (keys.empty()) {
-            keep = true;
-          } else if (lkey.AllConst()) {
-            keep = keys.count(lkey) == 0;
-            for (const Tuple* nk : null_keys) {
-              if (!keep) break;
-              if (SqlTupleEq(lkey, *nk) != TV3::kF) keep = false;
-            }
-          } else {
-            keep = true;
-            for (const auto& [rk, rc] : keys) {
-              if (SqlTupleEq(lkey, rk) != TV3::kF) {
-                keep = false;
-                break;
-              }
-            }
-          }
+          keep = keep_uncorrelated();
         }
-      } else {
-        // Correlated: filter right rows by θ(l·r) = t, then test.
-        bool exists_t = false;
-        bool all_f = true;
-        for (const auto& [rt, rc] : r->rows()) {
-          joint_t.AssignConcat(lt, rt);
-          if (n.pred(joint_t) != TV3::kT) continue;
-          rkey.AssignProject(rt, n.rpos);
-          if (sql_mode()) {
-            TV3 tv = SqlTupleEq(lkey, rkey);
-            if (tv == TV3::kT) exists_t = true;
-            if (tv != TV3::kF) all_f = false;
-          } else {
-            if (lkey == rkey) exists_t = true;
-            if (lkey == rkey) all_f = false;
-          }
+        if (keep) {
+          INCDB_RETURN_IF_ERROR(out.Insert(lt, set_semantics() ? 1 : lc));
         }
-        keep = negated ? all_f : exists_t;
-      }
-      if (keep) {
-        INCDB_RETURN_IF_ERROR(out.Insert(lt, set_semantics() ? 1 : lc));
-      }
       }
     }
     INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
     return RelationView::Own(std::move(out));
   }
 
+  /// The three join kinds, each one kernel call (eval/join_rows.h):
+  /// sequentially, or partitioned across the pool — the hash join by
+  /// key-hash partition (matching keys share a partition; a fixed thread
+  /// count yields a deterministic row order, any thread count the same
+  /// relation), the NL join by contiguous chunks of left rows (the exact
+  /// sequential row order). The θ* join always runs sequentially.
   StatusOr<RelationView> EvalJoin(const PhysNode& n) {
     auto l = Eval(n.left);
     if (!l.ok()) return l;
     auto r = Eval(n.right);
     if (!r.ok()) return r;
     const bool set = set_semantics();
-    const bool has_proj = n.fused_proj;
+    const Rows& lrows = l->rows();
+    const Rows& rrows = r->rows();
 
     // Projection shortcut: a condition-free product projected onto
     // columns of a single side is just that side's projection (times the
     // other side's non-emptiness) under set semantics.
-    if (n.op == PhysOp::kNLJoin && has_proj && set &&
-        n.cond->kind == CondKind::kTrue) {
-      if (n.proj_left_only && !r->rows().empty()) {
-        Relation out(n.attrs);
-        Tuple scratch;
-        for (const auto& [lt, lc] : l->rows()) {
-          INCDB_RETURN_IF_ERROR(Checkpoint());
-          scratch.AssignProject(lt, n.proj_pos);  // positions are left-local
-          INCDB_RETURN_IF_ERROR(out.Insert(scratch, 1));
-        }
-        out.CollapseCounts();
-        INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
+    if (n.op == PhysOp::kNLJoin && n.fused_proj && set &&
+        n.cond->kind == CondKind::kTrue &&
+        (n.proj_left_only || n.proj_right_only)) {
+      const bool keep_left = n.proj_left_only;
+      Relation out(n.attrs);
+      if ((keep_left ? rrows : lrows).empty()) {
         return RelationView::Own(std::move(out));
       }
-      if (n.proj_right_only && !l->rows().empty()) {
-        std::vector<size_t> pos;
-        for (size_t i : n.proj_pos) pos.push_back(i - n.left_arity);
-        Relation out(n.attrs);
-        Tuple scratch;
-        for (const auto& [rt, rc] : r->rows()) {
-          INCDB_RETURN_IF_ERROR(Checkpoint());
-          scratch.AssignProject(rt, pos);
-          INCDB_RETURN_IF_ERROR(out.Insert(scratch, 1));
-        }
-        out.CollapseCounts();
-        INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-        return RelationView::Own(std::move(out));
+      std::vector<size_t> pos = n.proj_pos;
+      if (!keep_left) {
+        for (size_t& p : pos) p -= n.left_arity;
       }
-      if (l->rows().empty() || r->rows().empty()) {
-        return RelationView::Own(Relation(n.attrs));
+      Tuple scratch;
+      for (const auto& [t, c] : keep_left ? lrows : rrows) {
+        INCDB_RETURN_IF_ERROR(Checkpoint());
+        scratch.AssignProject(t, pos);
+        INCDB_RETURN_IF_ERROR(out.Insert(scratch, 1));
       }
-    }
-
-    Relation out(n.attrs);
-    // Scratch tuples reused across every pair: the hot loops below perform
-    // no allocations except inserting kept tuples into `out`.
-    Tuple joint, projected;
-    // Emits the pair assembled in `joint` with multiplicity `c`.
-    auto emit_joint = [&](uint64_t c) -> Status {
-      if (has_proj) {
-        projected.AssignProject(joint, n.proj_pos);
-        INCDB_RETURN_IF_ERROR(out.Insert(projected, c));
-      } else {
-        // Pairs of distinct rows are distinct: no duplicate probe.
-        INCDB_RETURN_IF_ERROR(out.InsertUnique(joint, c));
-      }
-      return Budget(c, n.attrs.size());
-    };
-
-    // With a projection under set semantics, distinct pairs may collapse;
-    // normalise multiplicities at the end.
-    auto finish = [&]() -> RelationView {
-      if (has_proj && set) out.CollapseCounts();
+      out.CollapseCounts();
+      INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
       return RelationView::Own(std::move(out));
-    };
-
-    if (n.op == PhysOp::kNLJoin) {
-      // Work estimate for the parallel threshold: every pair is visited.
-      const size_t pairs = l->rows().size() * r->rows().size();
-      if (UseChunkParallelism(l->rows().size(), pairs, ChunkOp::kNLJoin)) {
-        return ParallelNLJoin(n, *l, *r);
-      }
-      // Vectorized sweep: the condition program runs over windows of right
-      // rows with the left tuple broadcast, and only the selected pairs are
-      // concatenated and inserted. Every visited pair counts one checkpoint
-      // unit, so the deadline fires even when nothing matches.
-      const std::vector<Relation::Row>& lrows = l->rows();
-      const std::vector<Relation::Row>& rrows = r->rows();
-      NLBatcher nb(*n.batch_pred, rrows, n.left_arity,
-                   n.left_arity + r->arity());
-      for (const auto& [lt, lc] : lrows) {
-        for (size_t begin = 0; begin < rrows.size(); begin += batch_size()) {
-          const size_t end = std::min(rrows.size(), begin + batch_size());
-          INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-          sel_.clear();
-          nb.Select(lt, begin, end, &bp_scratch_, &sel_);
-          for (uint32_t si : sel_) {
-            const auto& [rt, rc] = rrows[begin + si];
-            joint.AssignConcat(lt, rt);
-            INCDB_RETURN_IF_ERROR(emit_joint(set ? 1 : lc * rc));
-          }
-        }
-      }
-      return finish();
     }
 
-    // Hash join. Under SQL mode, rows with a null key cannot satisfy the
-    // equality with truth value t, so skipping them is sound. The index is
-    // built over the smaller side and stores row indices into that side's
-    // flat storage — no tuples are copied.
-    const bool build_left = l->rows().size() <= r->rows().size();
-    const std::vector<Relation::Row>& build_rows =
-        build_left ? l->rows() : r->rows();
-    const std::vector<Relation::Row>& probe_rows =
-        build_left ? r->rows() : l->rows();
-    const std::vector<size_t>& build_keys = build_left ? n.lkeys : n.rkeys;
-    const std::vector<size_t>& probe_keys = build_left ? n.rkeys : n.lkeys;
-
-    const size_t threads = plan_.opts.num_threads;
-    if (threads > 1 &&
-        build_rows.size() + probe_rows.size() >= plan_.opts.parallel_min_rows) {
-      return ParallelHashJoin(n, build_left, build_rows, probe_rows,
-                              build_keys, probe_keys);
+    switch (n.op) {
+      case PhysOp::kNLJoin:
+        // Work estimate for the parallel threshold: every pair is visited.
+        return RunParallel(
+            n,
+            UseChunkParallelism(lrows.size(), lrows.size() * rrows.size(),
+                                ChunkOp::kNLJoin),
+            [&](size_t part, size_t parts, auto& tick, auto& emit) {
+              return NLJoinRows(n, set, batch_size(), lrows, rrows, part,
+                                parts, tick, emit);
+            });
+      case PhysOp::kHashJoin:
+        return RunParallel(
+            n,
+            plan_.opts.num_threads > 1 &&
+                lrows.size() + rrows.size() >= plan_.opts.parallel_min_rows,
+            [&](size_t part, size_t parts, auto& tick, auto& emit) {
+              return HashJoinRows(n, set, sql_mode(), batch_size(), lrows,
+                                  rrows, part, parts, tick, emit);
+            });
+      default:
+        return RunSequential(
+            n, std::max(lrows.size(), rrows.size()),
+            [&](auto& tick, auto& emit) {
+              return UnifyJoinRows(n, set, batch_size(), lrows, rrows, tick,
+                                   emit);
+            });
     }
-
-    std::unordered_map<Tuple, std::vector<uint32_t>> index;
-    index.reserve(build_rows.size());
-    Tuple key;  // scratch for both build and probe keys
-    for (uint32_t i = 0; i < build_rows.size(); ++i) {
-      key.AssignProject(build_rows[i].first, build_keys);
-      if (sql_mode() && key.HasNull()) continue;
-      index[key].push_back(i);
-    }
-    // Window-at-a-time probing: the probe side is swept in batch_size
-    // windows with one checkpoint per window (plus one per match run). With
-    // naive equality the key match is syntactic; the residual condition is
-    // checked per pair in the active mode, and a trivial residual (θ = true)
-    // skips the predicate call entirely.
-    const bool trivial = n.cond->kind == CondKind::kTrue;
-    for (size_t begin = 0; begin < probe_rows.size(); begin += batch_size()) {
-      const size_t end = std::min(probe_rows.size(), begin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-      for (size_t pi = begin; pi < end; ++pi) {
-        const auto& [pt, pc] = probe_rows[pi];
-        key.AssignProject(pt, probe_keys);
-        if (sql_mode() && key.HasNull()) continue;
-        auto it = index.find(key);
-        if (it == index.end()) continue;
-        INCDB_RETURN_IF_ERROR(Checkpoint(it->second.size()));
-        for (uint32_t bi : it->second) {
-          const auto& [bt, bc] = build_rows[bi];
-          if (build_left) {
-            joint.AssignConcat(bt, pt);
-          } else {
-            joint.AssignConcat(pt, bt);
-          }
-          if (!trivial && n.pred(joint) != TV3::kT) continue;
-          INCDB_RETURN_IF_ERROR(emit_joint(set ? 1 : bc * pc));
-        }
-      }
-    }
-    return finish();
-  }
-
-  /// θ* join (eval/unify_join.h): one sequential loop, checkpointing per
-  /// window of batch_size rows and charging the budget per emitted
-  /// multiplicity.
-  StatusOr<RelationView> EvalUnifyJoin(const PhysNode& n) {
-    auto l = Eval(n.left);
-    if (!l.ok()) return l;
-    auto r = Eval(n.right);
-    if (!r.ok()) return r;
-    const bool set = set_semantics();
-    Relation out(n.attrs);
-    out.Reserve(std::max(l->rows().size(), r->rows().size()));
-    auto tick = [this](uint64_t units) { return Checkpoint(units); };
-    auto emit = [&](const Tuple& t, uint64_t c, bool distinct) -> Status {
-      INCDB_RETURN_IF_ERROR(distinct ? out.InsertUnique(t, c)
-                                     : out.Insert(t, c));
-      return Budget(c, n.attrs.size());
-    };
-    INCDB_RETURN_IF_ERROR(UnifyJoinRows(n, set, batch_size(), l->rows(),
-                                        r->rows(), tick, emit));
-    if (n.fused_proj && set) out.CollapseCounts();
-    return RelationView::Own(std::move(out));
-  }
-
-  /// Partitioned hash join: both sides are split by key-hash prefix into
-  /// num_threads partitions; matching keys land in the same partition, so
-  /// partitions join independently on the pool. Outputs merge in
-  /// partition-index order — a fixed thread count yields a deterministic
-  /// row order, and any thread count yields the same relation.
-  StatusOr<RelationView> ParallelHashJoin(
-      const PhysNode& n, bool build_left,
-      const std::vector<Relation::Row>& build_rows,
-      const std::vector<Relation::Row>& probe_rows,
-      const std::vector<size_t>& build_keys,
-      const std::vector<size_t>& probe_keys) {
-    INCDB_FAULT_POINT("exec.pool_dispatch");
-    const bool set = set_semantics();
-    const bool sql = sql_mode();
-    const bool has_proj = n.fused_proj;
-    const size_t P = plan_.opts.num_threads;
-    // Probe lists sweep in whole windows (one cooperative check per
-    // window) and a trivial residual skips the per-pair predicate call.
-    const bool trivial = n.cond->kind == CondKind::kTrue;
-
-    std::vector<std::vector<uint32_t>> build_parts(P), probe_parts(P);
-    Tuple key;
-    for (uint32_t i = 0; i < build_rows.size(); ++i) {
-      key.AssignProject(build_rows[i].first, build_keys);
-      if (sql && key.HasNull()) continue;
-      build_parts[key.Hash() % P].push_back(i);
-    }
-    for (uint32_t i = 0; i < probe_rows.size(); ++i) {
-      key.AssignProject(probe_rows[i].first, probe_keys);
-      if (sql && key.HasNull()) continue;
-      probe_parts[key.Hash() % P].push_back(i);
-    }
-
-    // Partitions emit raw (tuple, count) rows — the hash-indexed insert
-    // happens exactly once, at the canonical merge below.
-    std::vector<std::vector<Relation::Row>> outs(P);
-    std::vector<Status> stats(P, Status::OK());
-    // The budget is enforced cooperatively: partitions add their emissions
-    // to a shared counter in chunks and abort once the ceiling is crossed
-    // (overshoot is bounded by P chunks).
-    std::atomic<uint64_t> emitted{0};
-    const uint64_t budget_left =
-        plan_.opts.max_tuples > produced_ ? plan_.opts.max_tuples - produced_
-                                          : 0;
-
-    RunPartitions(P, [&](size_t p) {
-      std::vector<Relation::Row>& part_out = outs[p];
-      Tuple pkey, joint;
-      uint64_t unreported = 0;
-      // Workers observe the ExecContext cooperatively: every worker checks
-      // its own visited-pair counter, so a deadline or a Cancel() from
-      // another thread stops all partitions within one interval. Partial
-      // results are discarded by the merge-on-error below and the pool
-      // stays reusable (ExecPool::Run always drains every task body).
-      uint64_t visited = 0;
-      auto interrupted = [&]() {
-        visited = 0;
-        if (!limited_) return false;
-        Status cst = ctx_->Check();
-        if (cst.ok()) return false;
-        stats[p] = std::move(cst);
-        return true;
-      };
-      auto over_budget = [&]() {
-        emitted.fetch_add(unreported, std::memory_order_relaxed);
-        unreported = 0;
-        return emitted.load(std::memory_order_relaxed) > budget_left;
-      };
-      std::unordered_map<Tuple, std::vector<uint32_t>> index;
-      index.reserve(build_parts[p].size());
-      for (uint32_t i : build_parts[p]) {
-        if (++visited >= kCheckpointInterval && interrupted()) return;
-        pkey.AssignProject(build_rows[i].first, build_keys);
-        index[pkey].push_back(i);
-      }
-      const std::vector<uint32_t>& plist = probe_parts[p];
-      for (size_t wb = 0; wb < plist.size(); wb += batch_size()) {
-        const size_t we = std::min(plist.size(), wb + batch_size());
-        visited += we - wb;
-        if (visited >= kCheckpointInterval && interrupted()) return;
-        for (size_t qi = wb; qi < we; ++qi) {
-          const auto& [pt, pc] = probe_rows[plist[qi]];
-          pkey.AssignProject(pt, probe_keys);
-          auto it = index.find(pkey);
-          if (it == index.end()) continue;
-          for (uint32_t bi : it->second) {
-            if (++visited >= kCheckpointInterval && interrupted()) return;
-            const auto& [bt, bc] = build_rows[bi];
-            const Tuple& lt = build_left ? bt : pt;
-            const Tuple& rt = build_left ? pt : bt;
-            joint.AssignConcat(lt, rt);
-            if (!trivial && n.pred(joint) != TV3::kT) continue;
-            uint64_t c = set ? 1 : bc * pc;
-            if (has_proj) {
-              part_out.emplace_back(joint.Project(n.proj_pos), c);
-            } else {
-              part_out.emplace_back(joint, c);
-            }
-            if (++unreported >= 4096 && over_budget()) {
-              StatusDetail d;
-              d.budget_used =
-                  produced_ + emitted.load(std::memory_order_relaxed);
-              d.budget_limit = plan_.opts.max_tuples;
-              stats[p] = Status::ResourceExhausted(
-                             "evaluation exceeded max_tuples=" +
-                             std::to_string(plan_.opts.max_tuples))
-                             .WithDetail(std::move(d));
-              return;
-            }
-          }
-        }
-      }
-      emitted.fetch_add(unreported, std::memory_order_relaxed);
-    });
-
-    for (const Status& st : stats) {
-      INCDB_RETURN_IF_ERROR(st);
-    }
-
-    return MergeJoinParts(outs, n, has_proj, set);
-  }
-
-  /// Chunk-partitioned nested-loop join: left rows split into contiguous
-  /// chunks, each chunk looping over all right rows. Chunk outputs merged
-  /// in chunk order reproduce the exact left-major sequential pair order,
-  /// so any thread count yields a row-for-row identical relation.
-  StatusOr<RelationView> ParallelNLJoin(const PhysNode& n,
-                                        const RelationView& l,
-                                        const RelationView& r) {
-    INCDB_FAULT_POINT("exec.pool_dispatch");
-    const bool set = set_semantics();
-    const bool has_proj = n.fused_proj;
-    const std::vector<Relation::Row>& lrows = l.rows();
-    const std::vector<Relation::Row>& rrows = r.rows();
-    const size_t P = plan_.opts.num_threads;
-
-    std::vector<std::vector<Relation::Row>> parts(P);
-    // Budget enforced cooperatively, exactly like the partitioned hash
-    // join: chunks add their emissions to a shared counter and abort once
-    // the ceiling is crossed (overshoot bounded by P report intervals).
-    std::atomic<uint64_t> emitted{0};
-    const uint64_t budget_left =
-        plan_.opts.max_tuples > produced_ ? plan_.opts.max_tuples - produced_
-                                          : 0;
-    auto stats = RunChunks(
-        lrows.size(), [&](size_t p, size_t begin, size_t end) -> Status {
-          std::vector<Relation::Row>& part_out = parts[p];
-          Tuple joint;
-          uint64_t unreported = 0;
-          // Per-worker cooperative checkpoint on *visited* pairs (emitted
-          // pairs alone would never check a selective predicate's chunk):
-          // a deadline or cross-thread Cancel() stops every chunk within
-          // one interval; partial outputs are dropped by the caller. The
-          // counter advances one whole window at a time.
-          uint64_t visited = 0;
-          // Emits the pair currently assembled in `joint`, reporting into
-          // the shared budget counter every 4096 emissions.
-          auto emit_joint = [&](uint64_t c) -> Status {
-            if (has_proj) {
-              part_out.emplace_back(joint.Project(n.proj_pos), c);
-            } else {
-              part_out.emplace_back(joint, c);
-            }
-            if (++unreported >= 4096) {
-              emitted.fetch_add(unreported, std::memory_order_relaxed);
-              unreported = 0;
-              if (emitted.load(std::memory_order_relaxed) > budget_left) {
-                StatusDetail d;
-                d.budget_used =
-                    produced_ + emitted.load(std::memory_order_relaxed);
-                d.budget_limit = plan_.opts.max_tuples;
-                return Status::ResourceExhausted(
-                           "evaluation exceeded max_tuples=" +
-                           std::to_string(plan_.opts.max_tuples))
-                    .WithDetail(std::move(d));
-              }
-            }
-            return Status::OK();
-          };
-          // Each worker owns its columnar scratch over the shared program;
-          // the right-side transposition is rebuilt per chunk (O(right
-          // rows), dwarfed by the pair loop it accelerates).
-          NLBatcher nb(*n.batch_pred, rrows, n.left_arity,
-                       n.left_arity + r.arity());
-          BatchPredicate::Scratch scratch;
-          SelVector sel;
-          for (size_t i = begin; i < end; ++i) {
-            const auto& [lt, lc] = lrows[i];
-            for (size_t wb = 0; wb < rrows.size(); wb += batch_size()) {
-              const size_t we = std::min(rrows.size(), wb + batch_size());
-              if (limited_) {
-                visited += we - wb;
-                if (visited >= kCheckpointInterval) {
-                  visited = 0;
-                  INCDB_RETURN_IF_ERROR(ctx_->Check());
-                }
-              }
-              sel.clear();
-              nb.Select(lt, wb, we, &scratch, &sel);
-              for (uint32_t si : sel) {
-                const auto& [rt, rc] = rrows[wb + si];
-                joint.AssignConcat(lt, rt);
-                INCDB_RETURN_IF_ERROR(emit_joint(set ? 1 : lc * rc));
-              }
-            }
-          }
-          emitted.fetch_add(unreported, std::memory_order_relaxed);
-          return Status::OK();
-        });
-    for (const Status& st : stats) {
-      INCDB_RETURN_IF_ERROR(st);
-    }
-    return MergeJoinParts(parts, n, has_proj, set);
   }
 
   const Plan& plan_;
@@ -1286,8 +941,8 @@ class Executor {
   ScanResolver scans_;
   const ExecContext* ctx_;  // outlives the execution (held by the caller)
   const bool limited_;      // hoisted ctx_->limited(): one branch per checkpoint
-  // Reusable columnar buffers for the sequential batched paths (the
-  // parallel paths give each worker its own).
+  // Reusable columnar buffers for the filter sweeps (join residuals bring
+  // their own PairSelector).
   BatchGather gather_;
   Batch batch_;
   BatchPredicate::Scratch bp_scratch_;

@@ -153,16 +153,13 @@ bool CondWithin(const CondPtr& c, const std::vector<std::string>& attrs) {
   return true;
 }
 
-/// Compiles `node->cond` against `attrs` into `node->pred` and, when the
-/// condition is parameter-free, `node->batch_pred` — the one compile site
-/// of both programs, shared by Compile and BindPlanParams.
-Status CompilePrograms(PhysNode* node, const std::vector<std::string>& attrs,
-                       CondMode mode) {
-  auto pred = CompileCond(node->cond, attrs, mode);
-  if (!pred.ok()) return pred.status();
-  node->pred = std::move(*pred);
+/// Compiles `node->cond` against `attrs` into `node->batch_pred` — the one
+/// compile site of the program, shared by Compile and BindPlanParams. A
+/// parameterised condition only has its attribute references validated.
+Status CompileProgram(PhysNode* node, const std::vector<std::string>& attrs,
+                      CondMode mode) {
   node->batch_pred = nullptr;
-  if (CondHasParam(node->cond)) return Status::OK();
+  if (CondHasParam(node->cond)) return CheckCondAttrs(node->cond, attrs);
   auto bp = BatchPredicate::Make(node->cond, attrs, mode);
   if (!bp.ok()) return bp.status();
   node->batch_pred = std::make_shared<const BatchPredicate>(std::move(*bp));
@@ -231,16 +228,15 @@ class Compiler {
         "the query first");
   }
 
-  /// Compiles `cond` against `attrs` into the node's scalar predicate and
-  /// columnar program (validating attribute references on the way).
-  /// Parameterised conditions get no columnar program yet; they record the
-  /// input schema so BindPlanParams can compile both once the placeholders
-  /// are substituted.
+  /// Compiles `cond` against `attrs` into the node's columnar program
+  /// (validating attribute references on the way). Parameterised
+  /// conditions get no program yet; they record the input schema so
+  /// BindPlanParams can compile it once the placeholders are substituted.
   Status AttachCond(PhysNode* node, const CondPtr& cond,
                     const std::vector<std::string>& attrs) {
     node->cond = cond;
     if (CondHasParam(cond)) node->pred_attrs = attrs;
-    return CompilePrograms(node, attrs, ToCondMode(mode_));
+    return CompileProgram(node, attrs, ToCondMode(mode_));
   }
 
   StatusOr<PhysPtr> CompileScan(const AlgPtr& q) {
@@ -613,7 +609,6 @@ class Compiler {
     std::vector<CondPtr> residual;
     SplitEquiConjuncts(conj, (*l)->attrs, (*r)->attrs, /*extract=*/true,
                        &node->lkeys, &node->rkeys, &residual);
-    node->trivial_residual = residual.empty();
     INCDB_RETURN_IF_ERROR(AttachCond(node.get(), CAndAll(residual), *joint));
     return PhysPtr(node);
   }
@@ -648,7 +643,6 @@ class Compiler {
     auto joint = JointAttrs(*l, *r, "IN");
     if (!joint.ok()) return joint.status();
     INCDB_RETURN_IF_ERROR(AttachCond(node.get(), q->cond, *joint));
-    node->correlated = q->cond->kind != CondKind::kTrue;
     return PhysPtr(node);
   }
 
@@ -799,7 +793,7 @@ class PlanBinder {
       if (!cond.ok()) return cond.status();
       copy->cond = *cond;
       copy->pred_attrs.clear();
-      INCDB_RETURN_IF_ERROR(CompilePrograms(copy.get(), n->pred_attrs, mode_));
+      INCDB_RETURN_IF_ERROR(CompileProgram(copy.get(), n->pred_attrs, mode_));
     }
     if (dom_param) {
       for (Value& v : copy->dom_extra) {

@@ -14,7 +14,7 @@
 ///         condition become hash-join keys; with none, a θ* conjunct
 ///         (a = b ∨ null(a) ∨ null(b), the Fig. 2(b) σ?-rule's image of a
 ///         join equality) becomes the single key of a null-aware
-///         UnifyJoin (enable_hash_join; eval/unify_join.h);
+///         UnifyJoin (enable_hash_join; eval/join_rows.h);
 ///       * selection pushdown — one-sided conjuncts move below the join,
 ///         through products and renames (enable_selection_pushdown);
 ///       * projection fusion — π over a join-shaped child projects at emit
@@ -22,10 +22,10 @@
 ///         (enable_projection_fusion).
 ///     A join condition with no hashable key (neither an equality nor θ*)
 ///     runs as one NLJoin. Every condition is compiled once, here, into
-///     both the scalar predicate and the columnar program the row sweeps
-///     run. The database is consulted for *schemas only*: a compiled plan
-///     can be executed against any database with the same relation
-///     schemas.
+///     the columnar program (eval/batch.h) that every filter, row sweep
+///     and join residual runs. The database is consulted for *schemas
+///     only*: a compiled plan can be executed against any database with
+///     the same relation schemas.
 ///
 ///  2. Execute(plan, db) runs the operators. Leaf scans return a borrowed
 ///     RelationView over the database's flat rows (no copy); the hash join
@@ -37,7 +37,6 @@
 /// walks plans produced by CompileForCTables, and the FO evaluator
 /// (logic/fo_eval.cpp) shares ScanResolver for copy-free scans.
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -90,35 +89,31 @@ struct PhysNode;
 using PhysPtr = std::shared_ptr<const PhysNode>;
 
 /// \brief One physical operator with statically resolved schema, attribute
-/// positions and compiled predicates. Nodes are immutable; every node of a
-/// compiled plan has at most one parent (a bound plan shares its
+/// positions and compiled predicate program. Nodes are immutable; every
+/// node of a compiled plan has at most one parent (a bound plan shares its
 /// parameter-free subtrees with the template, never within itself).
 struct PhysNode {
   PhysOp op;
   std::vector<std::string> attrs;  ///< Output schema.
 
   std::string rel_name;            ///< kScanView.
-  CondPtr cond;                    ///< Filter / join residual / kInPred θ.
-  /// `cond` compiled against the operator's input schema (the joint schema
-  /// for join-like operators), one pair at a time: the residual of the
-  /// hash join, semijoin, correlated IN, UnifyJoin and delta join. Pure
-  /// and re-entrant: safe to call from the join pool's worker threads.
-  /// When `cond` still carries parameter placeholders the compiled
-  /// predicate is a validation artifact only — Execute refuses plans with
-  /// unbound parameters; BindPlanParams recompiles it from the bound
-  /// condition.
-  std::function<TV3(const Tuple&)> pred;
+  /// Filter / join residual / kInPred θ. kTrue means no condition: a
+  /// hash semijoin with no residual, an uncorrelated IN, a θ-free join.
+  CondPtr cond;
   /// `cond` compiled into the columnar register program (eval/batch.h)
-  /// against the same schema and mode as `pred`. Every row sweep runs it:
-  /// filters, the NL join, the cursor drain and delta filters. Null
-  /// exactly when `cond` still carries parameter placeholders;
-  /// BindPlanParams compiles it from the bound condition. Immutable, so
-  /// cached plans share it across threads (each caller brings its own
-  /// BatchPredicate::Scratch).
+  /// against the operator's input schema (the joint schema for join-like
+  /// operators) in the plan's mode: the engine's one condition evaluator.
+  /// Filters, the cursor drain and delta filters sweep rows through it;
+  /// every join residual (hash, NL and θ* joins, semijoin, correlated IN)
+  /// selects pairs through it (PairSelector). Null exactly when `cond`
+  /// still carries parameter placeholders; BindPlanParams compiles it from
+  /// the bound condition. Immutable, so cached plans share it across
+  /// threads (each caller brings its own scratch).
   std::shared_ptr<const BatchPredicate> batch_pred;
-  /// Input schema `pred` was compiled against — recorded only when `cond`
-  /// carries parameters, so BindPlanParams can recompile both programs
-  /// after substitution.
+  /// Input schema `cond` resolves against — recorded only when `cond`
+  /// carries parameters (its attribute references are validated at
+  /// compile), so BindPlanParams can compile the program after
+  /// substitution.
   std::vector<std::string> pred_attrs;
 
   std::vector<size_t> proj_pos;    ///< kProject / kFusedProjectFilter / fused join projection.
@@ -130,8 +125,6 @@ struct PhysNode {
   /// kHashJoin / kHashSemi key positions; kUnifyJoin's single θ* key.
   std::vector<size_t> lkeys, rkeys;
   bool anti = false;               ///< kHashSemi: antijoin; kInPred: NOT IN.
-  bool trivial_residual = false;   ///< kHashSemi: no residual predicate.
-  bool correlated = false;         ///< kInPred: θ references both sides.
   std::vector<size_t> lpos, rpos;  ///< kInPred compare columns.
   std::vector<size_t> keep_pos, div_l, div_r;  ///< kDivision alignment.
 
@@ -204,7 +197,7 @@ StatusOr<PlanPtr> CompileForCTables(const AlgPtr& q, const Database& db);
 
 /// Substitutes parameter bindings into a compiled plan template: nodes on
 /// a path to a parameterised condition (or Dom extra) are copied with the
-/// condition bound and both its programs recompiled; every parameter-free
+/// condition bound and its program compiled; every parameter-free
 /// subtree is shared with the original plan. The result has
 /// param_count == 0 and is independently executable — binding the same
 /// template concurrently from many threads is safe (the template is never

@@ -305,10 +305,6 @@ class PlanVerifier {
       joint.push_back(a);
     }
     if (!n.cond) return FailNode(n, path, "semijoin without residual condition");
-    if (n.trivial_residual != (n.cond->kind == CondKind::kTrue)) {
-      return FailNode(n, path,
-                      "trivial_residual flag disagrees with the condition");
-    }
     return CheckCond(n, path, joint);
   }
 
@@ -338,9 +334,6 @@ class PlanVerifier {
     std::vector<std::string> joint = n.left->attrs;
     for (const std::string& a : n.right->attrs) joint.push_back(a);
     if (!n.cond) return FailNode(n, path, "IN predicate without condition");
-    if (n.correlated != (n.cond->kind != CondKind::kTrue)) {
-      return FailNode(n, path, "correlated flag disagrees with the condition");
-    }
     return CheckCond(n, path, joint);
   }
 
@@ -409,7 +402,6 @@ class PlanVerifier {
   Status CheckCond(const PhysNode& n, const std::string& path,
                    const std::vector<std::string>& input) const {
     if (!n.cond) return FailNode(n, path, "missing condition");
-    if (!n.pred) return FailNode(n, path, "missing compiled predicate");
     for (const std::string& a : CondAttrs(n.cond)) {
       if (IndexOf(input, a) == input.size()) {
         return FailNode(n, path, "condition references attribute " + a +

@@ -22,6 +22,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -563,8 +565,9 @@ TEST(FuzzDiffTest, ResultCacheToggleIsBitIdentical) {
 // row-level Mutate batches with prepared executions and cross-check the
 // (possibly delta-maintained) cached result against a maintenance-free
 // cold recompute after every commit. Crossed over the vectorized batch
-// sizes {1, 1024} × thread counts {1, 8} — the delta propagator runs the
-// plan's stored predicate programs at the plan's batch size. Set
+// sizes {1, 3, 1024} × thread counts {1, 8} — the delta propagator runs
+// the plan's stored predicate programs and the executor's join kernels at
+// the plan's batch size, so 3 makes pair windows straddle delta joins. Set
 // modes also exercise the deletion → invalidation fallback (removals are
 // not insert-only maintainable there); bag mode the exact signed-delta
 // path.
@@ -575,7 +578,8 @@ TEST(FuzzDiffTest, MaintainedResultsMatchColdRecompute) {
     size_t batch;
     size_t threads;
   };
-  constexpr Cfg kCfgs[] = {{1, 1}, {1, 8}, {1024, 1}, {1024, 8}};
+  constexpr Cfg kCfgs[] = {{1, 1}, {1, 8},    {3, 1},
+                           {3, 8}, {1024, 1}, {1024, 8}};
   constexpr const char* kRels[] = {"R", "S", "T"};
   for (EvalMode mode :
        {EvalMode::kSetNaive, EvalMode::kBagNaive, EvalMode::kSetSql}) {
@@ -584,7 +588,7 @@ TEST(FuzzDiffTest, MaintainedResultsMatchColdRecompute) {
     RandomQueryGen gen(rng);
     uint64_t maintained = 0;
     for (uint64_t i = 0; i < cases; ++i) {
-      const Cfg cfg = kCfgs[i % 4];
+      const Cfg cfg = kCfgs[i % std::size(kCfgs)];
       const size_t tuples = 3 + i % 4;
       Database db = (i % 2 == 0) ? RandomDatabase(rng, tuples)
                                  : RandomBagDatabase(rng, tuples);
@@ -666,6 +670,118 @@ TEST(FuzzDiffTest, MaintainedResultsMatchColdRecompute) {
     EXPECT_GT(maintained, 0u)
         << "maintenance never actually ran (mode " << static_cast<int>(mode)
         << ")";
+  }
+}
+
+// Join residuals run the plan's columnar program over pair windows of
+// candidates (hash-join and semijoin buckets, θ* bucket + null-list
+// candidates) and over broadcast sweeps (NL join, correlated [NOT] IN, the
+// un-hashed semijoin, θ* null-key sweeps). Over 40-row relations with 3
+// key values, buckets and null lists outgrow the small windows. Every
+// residual-bearing join kind must agree with the reference walk at every
+// batch size × thread count in every mode, and row for row with the
+// single-pair window at the same thread count (the partitioned hash join
+// merges in partition-index order, so row order is fixed per thread
+// count, not across them).
+TEST(FuzzDiffTest, JoinResidualWindowsMatchReference) {
+  const uint64_t seed = EnvOr("INCDB_FUZZ_SEED", 20260730);
+  const uint64_t cases = EnvOr("INCDB_FUZZ_CASES", 500) / 25 + 1;
+  std::mt19937_64 rng(seed ^ 0x6a09e667f3bcc908ull);
+  const CondPtr theta_star =
+      COr(CEq("R_a", "S_a"), COr(CIsNull("R_a"), CIsNull("S_a")));
+  struct Shape {
+    AlgPtr q;
+    PhysOp op;  // the operator whose residual the shape exercises
+  };
+  const std::vector<Shape> shapes = {
+      {Join(Scan("R"), Scan("S"), CAnd(CEq("R_a", "S_a"), CLt("R_b", "S_b"))),
+       PhysOp::kHashJoin},
+      {Project(Join(Scan("R"), Scan("S"),
+                    CAnd(CEq("R_a", "S_a"),
+                         COr(CNeq("R_b", "S_b"), CIsNull("S_b")))),
+               {"R_b", "S_b"}),
+       PhysOp::kHashJoin},
+      {Semijoin(Scan("R"), Scan("S"),
+                CAnd(CEq("R_a", "S_a"), CNeq("R_b", "S_b"))),
+       PhysOp::kHashSemi},
+      {Antijoin(Scan("R"), Scan("S"),
+                CAnd(CEq("R_b", "S_b"), CLe("R_a", "S_a"))),
+       PhysOp::kHashSemi},
+      {Semijoin(Scan("R"), Scan("S"), CLt("R_b", "S_b")), PhysOp::kHashSemi},
+      {Join(Scan("R"), Scan("S"), CAnd(theta_star, CLe("R_b", "S_b"))),
+       PhysOp::kUnifyJoin},
+      {Project(Join(Scan("R"), Scan("S"),
+                    CAnd(theta_star, CNeq("R_b", "S_b"))),
+               {"R_a", "R_b"}),
+       PhysOp::kUnifyJoin},
+      {InPredicate(Scan("R"), Scan("S"), {"R_a"}, {"S_a"},
+                   CLt("R_b", "S_b")),
+       PhysOp::kInPred},
+      {NotInPredicate(Scan("R"), Scan("S"), {"R_b"}, {"S_b"},
+                      CNeq("R_a", "S_a")),
+       PhysOp::kInPred},
+      {Join(Scan("R"), Scan("S"), COr(CLt("R_a", "S_a"), CEq("R_b", "S_b"))),
+       PhysOp::kNLJoin},
+  };
+  // The residual-bearing node of `op` in the tree under `n`, if any.
+  std::function<const PhysNode*(const PhysPtr&, PhysOp)> find =
+      [&find](const PhysPtr& n, PhysOp op) -> const PhysNode* {
+    if (!n) return nullptr;
+    if (n->op == op && n->cond && n->cond->kind != CondKind::kTrue) {
+      return n.get();
+    }
+    const PhysNode* l = find(n->left, op);
+    return l != nullptr ? l : find(n->right, op);
+  };
+  struct ModeEval {
+    EvalMode mode;
+    StatusOr<Relation> (*eval)(const AlgPtr&, const Database&,
+                               const EvalOptions&);
+  };
+  const ModeEval modes[] = {{EvalMode::kSetNaive, &EvalSet},
+                            {EvalMode::kBagNaive, &EvalBag},
+                            {EvalMode::kSetSql, &EvalSql}};
+  for (uint64_t i = 0; i < cases; ++i) {
+    Database db = (i % 2 == 0) ? RandomDatabase(rng, 40, 3, 2)
+                               : RandomBagDatabase(rng, 40, 3, 2);
+    for (size_t si = 0; si < shapes.size(); ++si) {
+      const Shape& shape = shapes[si];
+      for (const ModeEval& me : modes) {
+        auto plan = Compile(shape.q, me.mode, EvalOptions{}, db);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        ASSERT_NE(find((*plan)->root, shape.op), nullptr)
+            << "shape " << si << " lost its residual:\n"
+            << PlanToString(**plan);
+        auto ref = RefEval(shape.q, db, me.mode);
+        ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+        for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+          std::optional<Relation> single_pair;
+          for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+            EvalOptions opts;
+            opts.batch_size = batch;
+            opts.num_threads = threads;
+            opts.parallel_min_rows = 0;
+            auto res = me.eval(shape.q, db, opts);
+            ASSERT_TRUE(res.ok()) << res.status().ToString();
+            ASSERT_TRUE(ref->SameRows(*res))
+                << "case " << i << " shape " << si << " (mode "
+                << static_cast<int>(me.mode) << ", b" << batch << "/t"
+                << threads << ") diverges for " << shape.q->ToString()
+                << "\nreference:\n"
+                << ref->ToString() << "\nplan:\n"
+                << res->ToString();
+            if (!single_pair) {
+              single_pair = std::move(*res);
+              continue;
+            }
+            ASSERT_TRUE(single_pair->IdenticalTo(*res))
+                << "case " << i << " shape " << si << " (mode "
+                << static_cast<int>(me.mode) << ", b" << batch << "/t"
+                << threads << ") row order differs from batch 1";
+          }
+        }
+      }
+    }
   }
 }
 
