@@ -180,7 +180,13 @@ class Executor {
       INCDB_RETURN_IF_ERROR(Budget(out->TotalSize(), out->arity()));
     }
     INCDB_FAULT_POINT("exec.materialize");
-    return std::move(*out).Materialize();
+    Relation rel = std::move(*out).Materialize();
+    // The operators' checkpoints are amortised and the sequential tail
+    // (partition merge, collapse, materialisation) runs after the last
+    // one, so a deadline or Cancel() landing there is caught here: a
+    // limited execution never hands out a result once its context fired.
+    if (limited_) INCDB_RETURN_IF_ERROR(ctx_->Check(mem_used_));
+    return rel;
   }
 
  private:
@@ -265,6 +271,7 @@ class Executor {
     out.Reserve(emitted_rows);
     for (auto& part : parts) {
       for (auto& [t, c] : part) {
+        INCDB_RETURN_IF_ERROR(Checkpoint());
         if (n.fused_proj) {
           INCDB_RETURN_IF_ERROR(out.Insert(std::move(t), c));
         } else {

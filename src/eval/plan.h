@@ -211,8 +211,11 @@ StatusOr<PlanPtr> BindPlanParams(const PlanPtr& plan,
 /// plan was compiled against). Plans with unbound parameters are rejected
 /// (bind them first via BindPlanParams). The ExecContext overload carries
 /// a deadline / cancellation token / soft memory budget, observed by every
-/// operator's hot loop on an amortized schedule; the two-argument form
-/// runs unlimited.
+/// operator's hot loop (the parallel partition merge included) on an
+/// amortized schedule and checked once more before the result is handed
+/// out: a deadline that has passed or a token that has fired by then
+/// yields kDeadlineExceeded / kCancelled, never OK. ExecuteNode keeps the
+/// same contract. The two-argument forms run unlimited.
 StatusOr<Relation> Execute(const PlanPtr& plan, const Database& db);
 StatusOr<Relation> Execute(const PlanPtr& plan, const Database& db,
                            const ExecContext& ctx);

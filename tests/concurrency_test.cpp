@@ -293,7 +293,7 @@ TEST(ConcurrencyTest, CursorDestroyedMidStreamUnderDropReleasesSnapshot) {
 }
 
 // The deadline/cancellation scaffolding for the join tests below: two
-// relations whose θ-join (≠, not hash-joinable) visits ~1.4M pairs — big
+// relations whose θ-join (≠, not hash-joinable) visits 9M pairs — big
 // enough that a 10 ms deadline or a mid-flight Cancel() always lands
 // inside the operator loops, small enough to finish if a check is missed.
 Session NLJoinSession(size_t threads) {
