@@ -164,8 +164,7 @@ INCDB_BENCH(not_in_scaling) {
   }
 }
 
-/// Hash join throughput: customer ⨝ orders, single-threaded and with the
-/// partitioned parallel build/probe (EvalOptions::num_threads = 4).
+/// Hash join throughput: customer ⨝ orders.
 INCDB_BENCH(hash_join) {
   tpch::GenOptions opts;
   opts.scale = 2.0;
@@ -178,16 +177,6 @@ INCDB_BENCH(hash_join) {
               static_cast<unsigned long long>(db.TotalSize()));
   ctx.Report("hash_join", ms)
       .Param("scale", opts.scale)
-      .Param("tuples", static_cast<int64_t>(db.TotalSize()));
-
-  EvalOptions par;
-  par.num_threads = 4;
-  double par_ms = ctx.TimeMs([&] { EvalSet(q, db, par).ok(); });
-  std::printf("%-24s %10.2f ms (%llu tuples)\n", "hash_join_parallel", par_ms,
-              static_cast<unsigned long long>(db.TotalSize()));
-  ctx.Report("hash_join_parallel", par_ms)
-      .Param("scale", opts.scale)
-      .Param("threads", static_cast<int64_t>(par.num_threads))
       .Param("tuples", static_cast<int64_t>(db.TotalSize()));
 }
 
@@ -638,9 +627,8 @@ INCDB_BENCH(cursor_stream) {
 }
 
 /// Difference throughput at TPC-H-lite scale (orders minus the lineitem
-/// order keys), sequential vs. the chunk-partitioned parallel operator —
-/// one record per thread count, in both naive-set and SQL NOT-IN modes.
-INCDB_BENCH(difference_parallel) {
+/// order keys), in both naive-set and SQL NOT-IN modes.
+INCDB_BENCH(difference) {
   tpch::GenOptions gopts;
   gopts.scale = 2.0;
   gopts.null_rate = 0.02;
@@ -648,29 +636,22 @@ INCDB_BENCH(difference_parallel) {
   AlgPtr q =
       Diff(Project(Scan("orders"), {"o_orderkey"}),
            Rename(Project(Scan("lineitem"), {"l_orderkey"}), {"o_orderkey"}));
-  std::printf("\n");
-  for (size_t threads : {1, 4}) {
-    EvalOptions opts;
-    opts.num_threads = threads;
-    opts.use_plan_cache = false;
-    double set_ms = ctx.TimeMs([&] { EvalSet(q, db, opts).ok(); });
-    double sql_ms = ctx.TimeMs([&] { EvalSql(q, db, opts).ok(); });
-    std::printf("%-24s %10.2f ms set / %8.2f ms sql  (threads=%zu)\n",
-                "difference_parallel", set_ms, sql_ms, threads);
-    ctx.Report("difference_parallel", set_ms)
-        .Param("threads", static_cast<int64_t>(threads))
-        .Param("mode", "set")
-        .Param("tuples", static_cast<int64_t>(db.TotalSize()));
-    ctx.Report("difference_parallel_sql", sql_ms)
-        .Param("threads", static_cast<int64_t>(threads))
-        .Param("mode", "sql")
-        .Param("tuples", static_cast<int64_t>(db.TotalSize()));
-  }
+  EvalOptions opts;
+  opts.use_plan_cache = false;
+  double set_ms = ctx.TimeMs([&] { EvalSet(q, db, opts).ok(); });
+  double sql_ms = ctx.TimeMs([&] { EvalSql(q, db, opts).ok(); });
+  std::printf("\n%-24s %10.2f ms set / %8.2f ms sql\n", "difference", set_ms,
+              sql_ms);
+  ctx.Report("difference", set_ms)
+      .Param("mode", "set")
+      .Param("tuples", static_cast<int64_t>(db.TotalSize()));
+  ctx.Report("difference_sql", sql_ms)
+      .Param("mode", "sql")
+      .Param("tuples", static_cast<int64_t>(db.TotalSize()));
 }
 
-/// Nested-loop join throughput (non-equality θ, so no hash fast path),
-/// sequential vs. the chunk-partitioned parallel operator.
-INCDB_BENCH(nl_join_parallel) {
+/// Nested-loop join throughput (non-equality θ, so no hash fast path).
+INCDB_BENCH(nl_join) {
   std::mt19937_64 rng(21);
   Database db;
   Relation l({"a", "b"}), r({"c", "d"});
@@ -686,15 +667,9 @@ INCDB_BENCH(nl_join_parallel) {
   // emit path, the rest the predicate loop.
   AlgPtr q = Project(Select(Product(Scan("L"), Scan("Rr")), CLt("b", "d")),
                      {"a", "c"});
-  for (size_t threads : {1, 4}) {
-    EvalOptions opts;
-    opts.num_threads = threads;
-    opts.use_plan_cache = false;
-    double ms = ctx.TimeMs([&] { EvalSet(q, db, opts).ok(); });
-    std::printf("%-24s %10.2f ms (threads=%zu)\n", "nl_join_parallel", ms,
-                threads);
-    ctx.Report("nl_join_parallel", ms)
-        .Param("threads", static_cast<int64_t>(threads))
-        .Param("pairs", static_cast<int64_t>(1200) * 1200);
-  }
+  EvalOptions opts;
+  opts.use_plan_cache = false;
+  double ms = ctx.TimeMs([&] { EvalSet(q, db, opts).ok(); });
+  std::printf("%-24s %10.2f ms\n", "nl_join", ms);
+  ctx.Report("nl_join", ms).Param("pairs", static_cast<int64_t>(1200) * 1200);
 }

@@ -5,17 +5,16 @@
 /// \brief Cooperative cancellation, deadlines and soft resource limits.
 ///
 /// An ExecContext travels by const reference from the Session facade
-/// (PreparedQuery::Execute / OpenCursor) down through the executor, the
-/// parallel pools and the valuation-family / c-table / FO enumerations.
-/// Every hot loop calls Check() on an amortized schedule (the same
-/// 4096-row cadence as the over-budget check), so a deadline or a
-/// Cancel() from another thread stops the query within a few thousand
-/// row visits — partial results are discarded and the worker pool is
-/// left reusable. The contract also covers the sequential tail after the
-/// last hot loop (a parallel operator's partition merge, collapse and
-/// materialisation) and the hand-off of the result: an execution whose
-/// deadline has passed, or whose token has fired, by the time its result
-/// is handed out returns kDeadlineExceeded / kCancelled, never OK.
+/// (PreparedQuery::Execute / OpenCursor) down through the executor and
+/// the valuation-family / c-table / FO enumerations. Every hot loop calls
+/// Check() on an amortized schedule (the same 4096-row cadence as the
+/// over-budget check), so a deadline or a Cancel() from another thread
+/// stops the query within a few thousand row visits — partial results
+/// are discarded. The contract also covers the tail after the last hot
+/// loop (collapse and materialisation) and the hand-off of the result: an
+/// execution whose deadline has passed, or whose token has fired, by the
+/// time its result is handed out returns kDeadlineExceeded / kCancelled,
+/// never OK.
 ///
 /// A default-constructed ExecContext is *unlimited* and costs one
 /// predictable branch per checkpoint: no clock reads, no atomics.

@@ -6,7 +6,7 @@
 ///
 /// FaultInjector is a seeded, process-wide source of synthetic failures.
 /// Named injection sites sit at allocation-heavy / status-returning
-/// boundaries (relation materialization, pool dispatch, cache insert,
+/// boundaries (relation materialization, cache insert,
 /// snapshot pin, node evaluation). When armed, each site roll either
 /// passes or returns a *structured* error — kCancelled or
 /// kResourceExhausted with StatusDetail::site naming the boundary —

@@ -116,7 +116,8 @@ class BatchGather {
 /// reference evaluator uses; ∧/∨ combine registers with branchless min/max
 /// (Kleene's tables over the f < u < t order); ¬ folds into the ≠ atoms as
 /// 2 − x. Evaluation is re-entrant: callers pass their own Scratch, so
-/// pool workers can share one compiled program.
+/// executions of one cached plan on many threads share one compiled
+/// program.
 class BatchPredicate {
  public:
   /// Per-caller register storage, reused across batches.
@@ -192,8 +193,8 @@ class BatchPredicate {
 ///    hashed-semijoin buckets and UnifyJoin bucket + null-list candidates.
 ///
 /// Selections come back in candidate order. Each selector owns its columns
-/// and register scratch, so pool workers build one each over the one
-/// shared program.
+/// and register scratch, so concurrent executions build one each over the
+/// one shared program.
 class PairSelector {
  public:
   PairSelector(const BatchPredicate& bp, size_t left_arity);

@@ -267,10 +267,9 @@ class DeltaPropagator {
     };
     switch (n.op) {
       case PhysOp::kHashJoin:
-        return HashJoinRows(n, set(), sql(), window, lrows, rrows, 0, 1, tick,
-                            emit);
+        return HashJoinRows(n, set(), sql(), window, lrows, rrows, tick, emit);
       case PhysOp::kNLJoin:
-        return NLJoinRows(n, set(), window, lrows, rrows, 0, 1, tick, emit);
+        return NLJoinRows(n, set(), window, lrows, rrows, tick, emit);
       default:
         return UnifyJoinRows(n, set(), window, lrows, rrows, tick, emit);
     }

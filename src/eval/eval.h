@@ -39,17 +39,12 @@
 
 namespace incdb {
 
-/// Hard ceiling on EvalOptions::num_threads: requests beyond this are
-/// clamped at plan-compile time (the partition count drives per-partition
-/// bookkeeping allocations, so an absurd request must not be taken
-/// literally).
-inline constexpr size_t kMaxEvalThreads = 64;
-
-/// Resource limits and optimizer toggles for an evaluation.
-/// Each enable_* toggle switches one rewrite pass of the plan compiler
-/// (eval/plan.h) on or off; they exist for the ablation study
-/// (bench_ablation) and disabling them never changes results, only cost
-/// (and the compiled plan's shape).
+/// Resource limits and optimizer toggles for an evaluation. Every
+/// evaluation runs sequentially on the calling thread, so each operator
+/// emits its rows in one order under any options. Each enable_* toggle
+/// switches one rewrite pass of the plan compiler (eval/plan.h) on or off;
+/// they exist for the ablation study (bench_ablation) and disabling them
+/// never changes results, only cost (and the compiled plan's shape).
 struct EvalOptions {
   /// Abort with ResourceExhausted once a single operator has produced this
   /// many tuple occurrences. Dom^k products (Fig. 2a) hit this quickly,
@@ -66,23 +61,6 @@ struct EvalOptions {
   /// One-sided filter conjuncts of a join condition move below the join
   /// (through products and renames) at plan-compile time.
   bool enable_selection_pushdown = true;
-  /// Worker threads for the partitioned physical operators (hash join,
-  /// nested-loop join, difference/NOT-IN, ⋉⇑; the UnifyJoin always runs
-  /// sequentially). 1 keeps the exact
-  /// single-threaded insertion order; >1 splits the work across a small
-  /// thread pool and merges the outputs in partition order — always the
-  /// same *relation* at any thread count, and for the chunk-partitioned
-  /// operators (NL join, difference, ⋉⇑) the exact sequential row order
-  /// too. Validated at plan-compile time: 0 means "use
-  /// hardware_concurrency()", values above kMaxEvalThreads are clamped
-  /// (see ResolveNumThreads in eval/plan.h).
-  size_t num_threads = 1;
-  /// Minimum input size (rows, operator-specific: build+probe for the hash
-  /// join, left×right pairs for the NL join, left+right rows for
-  /// difference and ⋉⇑) before a parallel operator actually splits work
-  /// across the pool — below it, threading overhead dominates. Tests set
-  /// this to 0 to force the parallel paths on tiny inputs.
-  size_t parallel_min_rows = 1024;
   /// Rows per columnar chunk of the vectorized operator loops
   /// (eval/batch.h): filters transpose this many rows at a time, join
   /// residuals select this many candidate pairs (or swept rows) at a time,

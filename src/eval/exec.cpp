@@ -1,30 +1,16 @@
 // Physical-plan executor (see eval/plan.h for the layer contract).
 //
 // Operators exchange RelationViews: leaf scans borrow the database rows in
-// place, everything that materialises owns its output. The partitioned
-// operators split work across a process-wide worker pool
-// (EvalOptions::num_threads) in two flavours:
+// place, everything that materialises owns its output. One executor runs
+// each operator sequentially on the calling thread, so every operator
+// emits its rows in one order at every configuration.
 //
-//  * the hash join partitions build and probe by key-hash prefix and
-//    merges partition outputs in partition-index order — deterministic for
-//    a fixed thread count and always the same *relation* as sequential;
-//  * nested-loop join, difference/NOT-IN and ⋉⇑ split the *left* rows into
-//    contiguous chunks and merge chunk outputs in chunk order, which
-//    reproduces the exact sequential insertion order at any thread count.
-//
-// Each join kind runs one row kernel (eval/join_rows.h) in every setting:
-// sequentially, per hash partition or NL chunk, and in delta maintenance.
-// The null-aware unification join always runs sequentially, so its row
-// order is the same at every thread count.
+// Each join kind runs one row kernel (eval/join_rows.h), shared with delta
+// maintenance.
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -33,7 +19,6 @@
 #include "eval/batch.h"
 #include "eval/eval.h"
 #include "eval/join_rows.h"
-#include "eval/parallel_policy.h"
 #include "eval/plan.h"
 #include "eval/unify_index.h"
 
@@ -65,96 +50,6 @@ StatusOr<RelationView> ScanResolver::Resolve(const std::string& name,
 
 namespace {
 
-/// \brief Process-wide worker pool for the partitioned operators (hash
-/// join, nested-loop join, difference/NOT-IN, ⋉⇑).
-///
-/// Workers are spawned lazily up to the largest num_threads ever requested
-/// (capped) and persist for the process lifetime, so repeated evaluations
-/// pay no thread-spawn cost. The calling thread participates in every
-/// batch; tasks never enqueue tasks, so the pool cannot deadlock.
-class ExecPool {
- public:
-  static ExecPool& Get() {
-    static ExecPool* pool = new ExecPool();  // leaked: workers never join
-    return *pool;
-  }
-
-  /// Runs fn(0) .. fn(n_tasks-1) using up to n_threads threads (including
-  /// the caller). Returns after every task body has completed.
-  void Run(size_t n_tasks, size_t n_threads, const std::function<void(size_t)>& fn) {
-    if (n_tasks == 0) return;
-    size_t helpers = std::min(n_threads > 0 ? n_threads - 1 : 0, n_tasks - 1);
-    helpers = std::min(helpers, kMaxWorkers);
-    if (helpers == 0) {
-      for (size_t i = 0; i < n_tasks; ++i) fn(i);
-      return;
-    }
-    auto batch = std::make_shared<TaskBatch>();
-    batch->fn = &fn;
-    batch->total = n_tasks;
-    batch->remaining.store(n_tasks, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      while (n_workers_ < helpers) {
-        std::thread(&ExecPool::WorkerLoop, this).detach();
-        ++n_workers_;
-      }
-      current_ = batch;
-      ++generation_;
-    }
-    work_cv_.notify_all();
-    Work(*batch);
-    std::unique_lock<std::mutex> lk(batch->done_mu);
-    batch->done_cv.wait(lk, [&] {
-      return batch->remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
-
- private:
-  static constexpr size_t kMaxWorkers = 15;
-
-  struct TaskBatch {
-    const std::function<void(size_t)>* fn = nullptr;
-    size_t total = 0;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> remaining{0};
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-  };
-
-  static void Work(TaskBatch& batch) {
-    size_t i;
-    while ((i = batch.next.fetch_add(1, std::memory_order_relaxed)) <
-           batch.total) {
-      (*batch.fn)(i);
-      if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lk(batch.done_mu);
-        batch.done_cv.notify_all();
-      }
-    }
-  }
-
-  void WorkerLoop() {
-    uint64_t seen = 0;
-    while (true) {
-      std::shared_ptr<TaskBatch> batch;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        work_cv_.wait(lk, [&] { return generation_ != seen; });
-        seen = generation_;
-        batch = current_;
-      }
-      if (batch) Work(*batch);
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::shared_ptr<TaskBatch> current_;
-  uint64_t generation_ = 0;
-  size_t n_workers_ = 0;
-};
-
 class Executor {
  public:
   Executor(const Plan& plan, const Database& db, const ExecContext& ctx)
@@ -181,10 +76,10 @@ class Executor {
     }
     INCDB_FAULT_POINT("exec.materialize");
     Relation rel = std::move(*out).Materialize();
-    // The operators' checkpoints are amortised and the sequential tail
-    // (partition merge, collapse, materialisation) runs after the last
-    // one, so a deadline or Cancel() landing there is caught here: a
-    // limited execution never hands out a result once its context fired.
+    // The operators' checkpoints are amortised and the tail (collapse,
+    // materialisation) runs after the last one, so a deadline or Cancel()
+    // landing there is caught here: a limited execution never hands out a
+    // result once its context fired.
     if (limited_) INCDB_RETURN_IF_ERROR(ctx_->Check(mem_used_));
     return rel;
   }
@@ -207,19 +102,17 @@ class Executor {
     return ctx_->Check(mem_used_);
   }
 
-  Status TooManyTuples(uint64_t used) const {
-    StatusDetail d;
-    d.budget_used = used;
-    d.budget_limit = plan_.opts.max_tuples;
-    return Status::ResourceExhausted("evaluation exceeded max_tuples=" +
-                                     std::to_string(plan_.opts.max_tuples))
-        .WithDetail(std::move(d));
-  }
-
   Status Budget(uint64_t produced, size_t arity) {
     produced_ += produced;
     mem_used_ += produced * arity * sizeof(Value);
-    if (produced_ > plan_.opts.max_tuples) return TooManyTuples(produced_);
+    if (produced_ > plan_.opts.max_tuples) {
+      StatusDetail d;
+      d.budget_used = produced_;
+      d.budget_limit = plan_.opts.max_tuples;
+      return Status::ResourceExhausted("evaluation exceeded max_tuples=" +
+                                       std::to_string(plan_.opts.max_tuples))
+          .WithDetail(std::move(d));
+    }
     // The soft memory budget is enforced on the same cadence as the tuple
     // budget: every materializing operator reports here.
     if (limited_ && ctx_->soft_mem_limit_bytes != 0) {
@@ -228,68 +121,15 @@ class Executor {
     return Status::OK();
   }
 
-  /// True when this operator should split `left_rows` input rows across
-  /// the pool (`weight` is the operator's work estimate; the per-op grain
-  /// policy lives in eval/parallel_policy.h).
-  bool UseChunkParallelism(size_t left_rows, size_t weight, ChunkOp op) const {
-    return ChunkParallelismProfitable(plan_.opts.num_threads, left_rows,
-                                      weight, plan_.opts.parallel_min_rows,
-                                      op);
-  }
-
   /// Rows per columnar chunk (resolved at compile time: never 0).
   size_t batch_size() const { return plan_.opts.batch_size; }
 
-  /// Runs fn(0) .. fn(P-1) on the pool. The partition count P is the
-  /// determinism contract; the worker count is an execution resource,
-  /// capped at the hardware parallelism (waking helpers a single-core box
-  /// cannot run only adds context switches — the merge order is
-  /// partition-indexed either way).
-  template <typename Fn>
-  void RunPartitions(size_t P, Fn&& fn) {
-    size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = P;
-    ExecPool::Get().Run(P, std::min(P, hw), std::forward<Fn>(fn));
-  }
-
-  /// Canonical merge of partitioned output: parts land in part-index
-  /// order. With a fused projection distinct pairs may collapse, so rows
-  /// insert with the duplicate probe and multiplicities normalise at the
-  /// end under set semantics; otherwise the emitted rows are globally
-  /// distinct (each join pair joins in exactly one partition, each left
-  /// row lives in one chunk) and the probe is skipped. Emitted
-  /// multiplicities count against the budget.
-  StatusOr<RelationView> MergeParts(std::vector<Rows>& parts,
-                                    const PhysNode& n) {
-    Relation out(n.attrs);
-    size_t emitted_rows = 0;
-    uint64_t total = 0;
-    for (const auto& part : parts) {
-      emitted_rows += part.size();
-      for (const auto& [t, c] : part) total += c;
-    }
-    out.Reserve(emitted_rows);
-    for (auto& part : parts) {
-      for (auto& [t, c] : part) {
-        INCDB_RETURN_IF_ERROR(Checkpoint());
-        if (n.fused_proj) {
-          INCDB_RETURN_IF_ERROR(out.Insert(std::move(t), c));
-        } else {
-          INCDB_RETURN_IF_ERROR(out.InsertUnique(std::move(t), c));
-        }
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(total, n.attrs.size()));
-    if (n.fused_proj && set_semantics()) out.CollapseCounts();
-    return RelationView::Own(std::move(out));
-  }
-
-  /// Runs `body(tick, emit)` — a row loop with the join kernels' hooks
-  /// (eval/join_rows.h) — sequentially: checkpoints on the executor's
-  /// schedule, rows inserted into the output (no duplicate probe for
-  /// distinct ones) and charged to the budget per emitted multiplicity.
-  /// With a fused projection under set semantics, distinct pairs may
-  /// collapse; multiplicities normalise at the end.
+  /// Runs `body(tick, emit)`, a row loop with the join kernels' hooks
+  /// (eval/join_rows.h): checkpoints on the executor's schedule, rows
+  /// inserted into the output (no duplicate probe for distinct ones) and
+  /// charged to the budget per emitted multiplicity. With a fused
+  /// projection under set semantics, distinct pairs may collapse;
+  /// multiplicities normalise at the end.
   template <typename Body>
   StatusOr<RelationView> RunSequential(const PhysNode& n, size_t reserve,
                                        Body&& body) {
@@ -306,90 +146,25 @@ class Executor {
     return RelationView::Own(std::move(out));
   }
 
-  /// Runs `body(part, parts, tick, emit)`, a row loop with the join
-  /// kernels' hooks over partition `part` of `parts`: on the pool with one
-  /// worker per partition (num_threads of them) when `parallel`, merged
-  /// in partition-index order, else as the single partition of one
-  /// sequential call.
-  template <typename Body>
-  StatusOr<RelationView> RunParallel(const PhysNode& n, bool parallel,
-                                     Body&& body) {
-    if (!parallel) {
-      return RunSequential(n, 0, [&](auto& tick, auto& emit) {
-        return body(size_t{0}, size_t{1}, tick, emit);
-      });
-    }
-    INCDB_FAULT_POINT("exec.pool_dispatch");
-    const size_t P = plan_.opts.num_threads;
-    std::vector<Rows> parts(P);
-    std::vector<Status> stats(P, Status::OK());
-    // The tuple budget is enforced cooperatively: workers add their
-    // emissions to a shared counter every 4096 rows and stop once the
-    // total crosses what the budget has left (overshoot is bounded by one
-    // report interval per worker); the merge charges the exact total.
-    std::atomic<uint64_t> emitted{0};
-    const uint64_t budget_left =
-        plan_.opts.max_tuples > produced_ ? plan_.opts.max_tuples - produced_
-                                          : 0;
-    RunPartitions(P, [&](size_t p) {
-      // Checkpoints follow Checkpoint()'s schedule on a worker-local
-      // counter: a deadline or a Cancel() from another thread stops every
-      // worker within one interval. Partial outputs are discarded below and
-      // the pool stays reusable (ExecPool::Run drains every task body).
-      uint64_t visited = 0, unreported = 0;
-      auto tick = [&](uint64_t units) -> Status {
-        if (!limited_ || (visited += units) < kCheckpointInterval) {
-          return Status::OK();
-        }
-        visited = 0;
-        return ctx_->Check();
-      };
-      auto emit = [&](const Tuple& t, uint64_t c, bool) -> Status {
-        parts[p].emplace_back(t, c);
-        if (++unreported < 4096) return Status::OK();
-        const uint64_t total =
-            emitted.fetch_add(unreported, std::memory_order_relaxed) +
-            unreported;
-        unreported = 0;
-        return total <= budget_left ? Status::OK()
-                                    : TooManyTuples(produced_ + total);
-      };
-      stats[p] = body(p, P, tick, emit);
-    });
-    for (const Status& st : stats) {
-      INCDB_RETURN_IF_ERROR(st);
-    }
-    return MergeParts(parts, n);
-  }
-
   /// The left rows of difference/NOT IN and ⋉⇑, each keeping the
-  /// multiplicity `kept(t, c, &scratch)` (0 drops it); left rows are
-  /// distinct, so each survivor is a fresh row. Split into contiguous
-  /// chunks across the pool when profitable (`weight` is the work
-  /// estimate), which keeps the sequential row order; `kept` must be safe
-  /// to call from pool workers, each passing its own scratch tuple.
+  /// multiplicity `kept(t, c)` (0 drops it); left rows are distinct, so
+  /// each survivor is a fresh row.
   template <typename Kept>
   StatusOr<RelationView> KeepLeftRows(const PhysNode& n, const Rows& lrows,
-                                      size_t weight, ChunkOp op,
                                       Kept&& kept) {
-    return RunParallel(
-        n, UseChunkParallelism(lrows.size(), weight, op),
-        [&](size_t part, size_t parts, auto& tick, auto& emit) -> Status {
-          const size_t end = lrows.size() * (part + 1) / parts;
-          Tuple scratch;
-          for (size_t wb = lrows.size() * part / parts; wb < end;
-               wb += batch_size()) {
-            const size_t we = std::min(end, wb + batch_size());
-            INCDB_RETURN_IF_ERROR(tick(we - wb));
-            for (size_t i = wb; i < we; ++i) {
-              const auto& [t, c] = lrows[i];
-              if (uint64_t kc = kept(t, c, &scratch)) {
-                INCDB_RETURN_IF_ERROR(emit(t, kc, true));
-              }
-            }
+    return RunSequential(n, 0, [&](auto& tick, auto& emit) -> Status {
+      for (size_t wb = 0; wb < lrows.size(); wb += batch_size()) {
+        const size_t we = std::min(lrows.size(), wb + batch_size());
+        INCDB_RETURN_IF_ERROR(tick(we - wb));
+        for (size_t i = wb; i < we; ++i) {
+          const auto& [t, c] = lrows[i];
+          if (uint64_t kc = kept(t, c)) {
+            INCDB_RETURN_IF_ERROR(emit(t, kc, true));
           }
-          return Status::OK();
-        });
+        }
+      }
+      return Status::OK();
+    });
   }
 
   StatusOr<RelationView> Eval(const PhysPtr& np) {
@@ -544,9 +319,8 @@ class Executor {
         if (s.HasNull()) null_rows.push_back(&s);
       }
     }
-    // Multiplicity a left row keeps (0 drops it). Pure reads of the shared
-    // right-side view and null_rows: safe to call from pool workers.
-    auto kept_count = [&](const Tuple& t, uint64_t c, Tuple*) -> uint64_t {
+    // Multiplicity a left row keeps (0 drops it).
+    auto kept_count = [&](const Tuple& t, uint64_t c) -> uint64_t {
       if (sql) {
         // NOT IN semantics: keep r̄ only if the comparison with *every*
         // tuple of the right side is certainly false (never t or u).
@@ -571,8 +345,7 @@ class Executor {
       return c > rc ? c - rc : 0;  // bag monus
     };
 
-    return KeepLeftRows(n, l->rows(), l->rows().size() + r->rows().size(),
-                        ChunkOp::kDifference, kept_count);
+    return KeepLeftRows(n, l->rows(), kept_count);
   }
 
   StatusOr<RelationView> EvalIntersect(const PhysNode& n) {
@@ -634,17 +407,14 @@ class Executor {
     if (!l.ok()) return l;
     auto r = Eval(n.right);
     if (!r.ok()) return r;
-    // The index is built once on the calling thread; probes are const and
-    // re-entrant (each worker owns its scratch tuple).
     UnifyIndex index(r->rows(), r->arity(), plan_.opts.enable_unify_index);
     const bool set = set_semantics();
-    return KeepLeftRows(
-        n, l->rows(), l->rows().size() + r->rows().size(),
-        ChunkOp::kUnifySemiJoin,
-        [&](const Tuple& t, uint64_t c, Tuple* scratch) -> uint64_t {
-          if (index.AnyUnifiable(t, scratch)) return 0;
-          return set ? 1 : c;
-        });
+    Tuple scratch;
+    return KeepLeftRows(n, l->rows(),
+                        [&](const Tuple& t, uint64_t c) -> uint64_t {
+                          if (index.AnyUnifiable(t, &scratch)) return 0;
+                          return set ? 1 : c;
+                        });
   }
 
   StatusOr<RelationView> EvalDom(const PhysNode& n) {
@@ -872,12 +642,7 @@ class Executor {
     return RelationView::Own(std::move(out));
   }
 
-  /// The three join kinds, each one kernel call (eval/join_rows.h):
-  /// sequentially, or partitioned across the pool — the hash join by
-  /// key-hash partition (matching keys share a partition; a fixed thread
-  /// count yields a deterministic row order, any thread count the same
-  /// relation), the NL join by contiguous chunks of left rows (the exact
-  /// sequential row order). The θ* join always runs sequentially.
+  /// The three join kinds, each one kernel call (eval/join_rows.h).
   StatusOr<RelationView> EvalJoin(const PhysNode& n) {
     auto l = Eval(n.left);
     if (!l.ok()) return l;
@@ -915,24 +680,14 @@ class Executor {
 
     switch (n.op) {
       case PhysOp::kNLJoin:
-        // Work estimate for the parallel threshold: every pair is visited.
-        return RunParallel(
-            n,
-            UseChunkParallelism(lrows.size(), lrows.size() * rrows.size(),
-                                ChunkOp::kNLJoin),
-            [&](size_t part, size_t parts, auto& tick, auto& emit) {
-              return NLJoinRows(n, set, batch_size(), lrows, rrows, part,
-                                parts, tick, emit);
-            });
+        return RunSequential(n, 0, [&](auto& tick, auto& emit) {
+          return NLJoinRows(n, set, batch_size(), lrows, rrows, tick, emit);
+        });
       case PhysOp::kHashJoin:
-        return RunParallel(
-            n,
-            plan_.opts.num_threads > 1 &&
-                lrows.size() + rrows.size() >= plan_.opts.parallel_min_rows,
-            [&](size_t part, size_t parts, auto& tick, auto& emit) {
-              return HashJoinRows(n, set, sql_mode(), batch_size(), lrows,
-                                  rrows, part, parts, tick, emit);
-            });
+        return RunSequential(n, 0, [&](auto& tick, auto& emit) {
+          return HashJoinRows(n, set, sql_mode(), batch_size(), lrows, rrows,
+                              tick, emit);
+        });
       default:
         return RunSequential(
             n, std::max(lrows.size(), rrows.size()),

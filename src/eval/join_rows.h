@@ -3,9 +3,8 @@
 
 /// \file join_rows.h
 /// \brief One row kernel per join kind: HashJoinRows (PhysOp::kHashJoin),
-/// NLJoinRows (kNLJoin) and UnifyJoinRows (kUnifyJoin). The sequential
-/// executor, every partition or chunk of the partitioned executor
-/// (eval/exec.cpp) and delta propagation (eval/delta.cpp) all run these
+/// NLJoinRows (kNLJoin) and UnifyJoinRows (kUnifyJoin). The executor
+/// (eval/exec.cpp) and delta propagation (eval/delta.cpp) both run these
 /// loops, so each join's semantics live in one place. Callers differ only
 /// in two hooks, which both return Status (the first error stops the join):
 ///  * `tick(units)` — the cooperative checkpoint, called once per window of
@@ -141,18 +140,17 @@ auto PairEmitter(const PhysNode& n, bool set, const Rows& lrows,
   };
 }
 
-/// Runs partition `part` of `parts` of the kHashJoin node `n` over
-/// `lrows` ⋈ `rrows`: the pairs whose key hashes to `part` modulo `parts`
-/// (all of them when `parts` is 1). The smaller side (the left one on a
-/// tie) indexes its rows on the key columns; the other side's rows look up
-/// their bucket. Under SQL 3VL (`sql`) a null key cannot satisfy the key
-/// equality with truth value t, so such rows are skipped on both sides.
+/// Runs the kHashJoin node `n` over `lrows` ⋈ `rrows`. The smaller side
+/// (the left one on a tie) indexes its rows on the key columns; the other
+/// side's rows look up their bucket. Under SQL 3VL (`sql`) a null key
+/// cannot satisfy the key equality with truth value t, so such rows are
+/// skipped on both sides.
 /// tick: once per window of rows on either side and once per bucket run.
 /// Emission order: probe rows in input order, each bucket in input order.
 template <typename Tick, typename Emit>
 Status HashJoinRows(const PhysNode& n, bool set, bool sql, size_t window,
-                    const Rows& lrows, const Rows& rrows, size_t part,
-                    size_t parts, Tick&& tick, Emit&& emit) {
+                    const Rows& lrows, const Rows& rrows, Tick&& tick,
+                    Emit&& emit) {
   assert(window > 0);
   const bool build_left = lrows.size() <= rrows.size();
   const Rows& brows = build_left ? lrows : rrows;
@@ -160,16 +158,16 @@ Status HashJoinRows(const PhysNode& n, bool set, bool sql, size_t window,
   const std::vector<size_t>& bkeys = build_left ? n.lkeys : n.rkeys;
   const std::vector<size_t>& pkeys = build_left ? n.rkeys : n.lkeys;
   Tuple key;  // scratch for both build and probe keys
-  // Projects row `i` of `rows` onto `keys`; true when the key belongs here.
+  // Projects row `i` of `rows` onto `keys`; false when the key cannot
+  // match.
   auto key_of = [&](const Rows& rows, size_t i,
                     const std::vector<size_t>& keys) {
     key.AssignProject(rows[i].first, keys);
-    if (sql && key.HasNull()) return false;
-    return parts == 1 || key.Hash() % parts == part;
+    return !(sql && key.HasNull());
   };
   // The index holds row ids into the build side: no tuples are copied.
   std::unordered_map<Tuple, std::vector<uint32_t>> index;
-  index.reserve(brows.size() / parts);
+  index.reserve(brows.size());
   for (size_t wb = 0; wb < brows.size(); wb += window) {
     const size_t we = std::min(brows.size(), wb + window);
     INCDB_RETURN_IF_ERROR(tick(we - wb));
@@ -199,21 +197,19 @@ Status HashJoinRows(const PhysNode& n, bool set, bool sql, size_t window,
   return pairs.Flush();
 }
 
-/// Runs partition `part` of `parts` of the kNLJoin node `n`: the left
-/// rows of the part-th of `parts` contiguous chunks × every right row. Per
-/// left row, the right side is swept in windows with the left row
-/// broadcast. tick: once per window, so every visited pair counts and a
-/// deadline fires even when nothing matches. Emission order: left-major,
-/// right rows in order.
+/// Runs the kNLJoin node `n`: every left row × every right row. Per left
+/// row, the right side is swept in windows with the left row broadcast.
+/// tick: once per window, so every visited pair counts and a deadline
+/// fires even when nothing matches. Emission order: left-major, right rows
+/// in order.
 template <typename Tick, typename Emit>
 Status NLJoinRows(const PhysNode& n, bool set, size_t window,
-                  const Rows& lrows, const Rows& rrows, size_t part,
-                  size_t parts, Tick&& tick, Emit&& emit) {
+                  const Rows& lrows, const Rows& rrows, Tick&& tick,
+                  Emit&& emit) {
   assert(window > 0);
   auto emit_pair = PairEmitter(n, set, lrows, rrows, emit);
   JoinPairs pairs(n, window, lrows, rrows, emit_pair);
-  const size_t lend = lrows.size() * (part + 1) / parts;
-  for (size_t li = lrows.size() * part / parts; li < lend; ++li) {
+  for (size_t li = 0; li < lrows.size(); ++li) {
     for (size_t wb = 0; wb < rrows.size(); wb += window) {
       const size_t we = std::min(rrows.size(), wb + window);
       INCDB_RETURN_IF_ERROR(tick(we - wb));

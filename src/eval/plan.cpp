@@ -1,8 +1,6 @@
 #include "eval/plan.h"
 
-#include <algorithm>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "eval/verify.h"
@@ -695,7 +693,6 @@ StatusOr<PlanPtr> CompileImpl(const AlgPtr& q, EvalMode mode,
   plan->root = *root;
   plan->mode = mode;
   plan->opts = opts;
-  plan->opts.num_threads = ResolveNumThreads(opts.num_threads);
   plan->opts.batch_size = ResolveBatchSize(opts.batch_size);
   plan->param_count = ParamCount(q);
   plan->for_ctables = for_ctables;
@@ -739,14 +736,6 @@ void RenderNode(const PhysPtr& n, size_t depth, std::string* out) {
 }
 
 }  // namespace
-
-size_t ResolveNumThreads(size_t requested) {
-  if (requested == 0) {
-    size_t hw = std::thread::hardware_concurrency();
-    requested = hw > 0 ? hw : 1;
-  }
-  return std::min(requested, kMaxEvalThreads);
-}
 
 size_t ResolveBatchSize(size_t requested) {
   return requested == 0 ? 1 : requested;

@@ -27,10 +27,9 @@
 ///     only*: a compiled plan can be executed against any database with
 ///     the same relation schemas.
 ///
-///  2. Execute(plan, db) runs the operators. Leaf scans return a borrowed
-///     RelationView over the database's flat rows (no copy); the hash join
-///     optionally partitions build and probe by key-hash prefix across a
-///     small thread pool (EvalOptions::num_threads).
+///  2. Execute(plan, db) runs the operators sequentially on the calling
+///     thread. Leaf scans return a borrowed RelationView over the
+///     database's flat rows (no copy).
 ///
 /// EvalSet / EvalBag / EvalSql (eval/eval.h) are thin compile+execute
 /// wrappers over this layer; the c-table evaluator (ctables/ceval.cpp)
@@ -167,23 +166,15 @@ struct Plan {
 };
 using PlanPtr = std::shared_ptr<const Plan>;
 
-/// Validates EvalOptions::num_threads: 0 resolves to
-/// std::thread::hardware_concurrency() (1 when the runtime reports 0),
-/// anything above kMaxEvalThreads clamps to kMaxEvalThreads. Compile()
-/// applies this before storing the options in the plan, so the executor
-/// and the plan-cache key always see the resolved value.
-size_t ResolveNumThreads(size_t requested);
-
 /// Validates EvalOptions::batch_size: 0 resolves to 1, the row-at-a-time
 /// cadence. Compile() stores the resolved value, so the executor and the
 /// plan-cache key never see 0.
 size_t ResolveBatchSize(size_t requested);
 
 /// Lowers `q` into a physical plan for the given mode, running the rewrite
-/// passes enabled in `opts` (with num_threads and batch_size resolved via
-/// ResolveNumThreads / ResolveBatchSize). The database provides relation
-/// schemas only;
-/// no data is read. Compilation performs all schema validation (unknown
+/// passes enabled in `opts` (with batch_size resolved via
+/// ResolveBatchSize). The database provides relation schemas only; no data
+/// is read. Compilation performs all schema validation (unknown
 /// relations/attributes, arity mismatches, product disjointness), so
 /// Execute only surfaces data-dependent errors (resource budgets).
 StatusOr<PlanPtr> Compile(const AlgPtr& q, EvalMode mode,
@@ -211,11 +202,10 @@ StatusOr<PlanPtr> BindPlanParams(const PlanPtr& plan,
 /// plan was compiled against). Plans with unbound parameters are rejected
 /// (bind them first via BindPlanParams). The ExecContext overload carries
 /// a deadline / cancellation token / soft memory budget, observed by every
-/// operator's hot loop (the parallel partition merge included) on an
-/// amortized schedule and checked once more before the result is handed
-/// out: a deadline that has passed or a token that has fired by then
-/// yields kDeadlineExceeded / kCancelled, never OK. ExecuteNode keeps the
-/// same contract. The two-argument forms run unlimited.
+/// operator's hot loop on an amortized schedule and checked once more
+/// before the result is handed out: a deadline that has passed or a token
+/// that has fired by then yields kDeadlineExceeded / kCancelled, never OK.
+/// ExecuteNode keeps the same contract. The two-argument forms run unlimited.
 StatusOr<Relation> Execute(const PlanPtr& plan, const Database& db);
 StatusOr<Relation> Execute(const PlanPtr& plan, const Database& db,
                            const ExecContext& ctx);

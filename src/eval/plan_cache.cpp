@@ -182,10 +182,6 @@ void AppendOptions(std::string* k, const EvalOptions& opts) {
                                      (opts.enable_projection_fusion << 1) |
                                      (opts.enable_unify_index << 2) |
                                      (opts.enable_selection_pushdown << 3)));
-  // The resolved thread count, so num_threads=0 and an explicit
-  // hardware_concurrency() request share an entry.
-  AppendU64(k, ResolveNumThreads(opts.num_threads));
-  AppendU64(k, opts.parallel_min_rows);
   // batch_size does not change plan shape today, but cached plans carry
   // their options into execution, so it must participate in identity —
   // resolved, so 0 and 1 share an entry.

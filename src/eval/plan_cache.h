@@ -18,9 +18,8 @@
 ///    (same shape, different attribute names) key separately because
 ///    attribute names are semantic here;
 ///  * the evaluation mode and every plan-relevant EvalOptions field
-///    (rewrite-pass toggles, max_tuples, the resolved num_threads,
-///    parallel_min_rows, the resolved batch_size) — the options are baked
-///    into the compiled plan;
+///    (rewrite-pass toggles, max_tuples, the resolved batch_size) — the
+///    options are baked into the compiled plan;
 ///  * the schemas (name + attribute list) of every relation the query
 ///    scans, as read from the database at lookup time.
 /// Entries are compared by the full key bytes, never just the hash, so

@@ -41,9 +41,8 @@ class UnifyIndex {
     }
   }
 
-  /// Probes are read-only and re-entrant: `scratch` holds the per-caller
-  /// key buffer, so one index can be probed from many threads at once
-  /// (each worker of the parallel ⋉⇑ owns a scratch tuple).
+  /// Probes are read-only: `scratch` is the caller's key buffer, reused
+  /// across probes so they allocate nothing.
   bool AnyUnifiable(const Tuple& probe, Tuple* scratch) const {
     if (!use_index_ || probe.HasNull()) {
       for (const Tuple* t : all_) {

@@ -487,12 +487,6 @@ class PlanVerifier {
                           " does not cover parameter slots used (" +
                           std::to_string(params_needed) + ")");
     }
-    if (plan_.opts.num_threads == 0 ||
-        plan_.opts.num_threads > kMaxEvalThreads) {
-      return Fail("", "EvalOptions::num_threads was not resolved at compile "
-                      "time (got " +
-                          std::to_string(plan_.opts.num_threads) + ")");
-    }
     if (plan_.opts.batch_size == 0) {
       return Fail("", "EvalOptions::batch_size was not resolved at compile "
                       "time (got 0)");

@@ -44,8 +44,7 @@
 ///  * Plan::scanned_rels / uses_dom agree with the actual leaves;
 ///  * Plan::maintainable holds exactly when every operator belongs to the
 ///    delta-propagation subset and the plan is not a c-table lowering;
-///  * EvalOptions::num_threads was resolved (1..kMaxEvalThreads) and
-///    EvalOptions::batch_size was resolved (≥ 1).
+///  * EvalOptions::batch_size was resolved (≥ 1).
 ///
 /// **Wiring.** Under INCDB_VERIFY_PLANS (on in Debug builds and every
 /// sanitizer CI job, compiled out of Release hot paths) the verifier runs

@@ -14,13 +14,15 @@
 /// highlights) in incdb's algebra. See DESIGN.md §3 for why this preserves
 /// the experiments' shape.
 ///
-/// Schema (keys are never nulled; nullable columns marked *):
+/// Schema (nullable columns marked *). The key columns of nation,
+/// customer, supplier, part and orders are never nulled; lineitem's
+/// l_orderkey, which references orders, can be:
 ///   nation  (n_nationkey, n_name, n_regionkey*)
 ///   customer(c_custkey, c_name, c_nationkey*, c_acctbal*)
 ///   supplier(s_suppkey, s_name, s_nationkey*, s_acctbal*)
 ///   part    (p_partkey, p_name, p_brand*, p_size*)
 ///   orders  (o_orderkey, o_custkey*, o_totalprice*, o_status*)
-///   lineitem(l_orderkey, l_partkey*, l_suppkey*, l_quantity*, l_price*)
+///   lineitem(l_orderkey*, l_partkey*, l_suppkey*, l_quantity*, l_price*)
 
 #include <cstdint>
 

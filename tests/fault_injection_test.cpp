@@ -1,7 +1,7 @@
 // The fault sweep: the differential-fuzzer corpus re-run with the
 // deterministic FaultInjector armed. The contract under injected faults
-// at every site (scan resolve, node eval, materialization, pool
-// dispatch, snapshot pin, result-cache insert) is strict:
+// at every site (scan resolve, node eval, materialization, snapshot pin,
+// result-cache insert) is strict:
 //
 //  * every outcome is either the bit-identical correct result or a
 //    *structured* error — kCancelled / kResourceExhausted with
@@ -169,10 +169,10 @@ TEST_F(FaultSweepTest, CursorDrainUnderFaultsIsCorrectOrStructured) {
   }
 }
 
-// Parallel execution under faults: injected errors inside pool workers
-// must propagate as structured statuses and leave the leaked pool
-// reusable for the next (fault-free) run.
-TEST_F(FaultSweepTest, ParallelPipelinesUnderFaultsStayReusable) {
+// A join pipeline under faults: injected errors must propagate as
+// structured statuses and leave the session usable for the next
+// (fault-free) run.
+TEST_F(FaultSweepTest, PipelinesUnderFaultsStayReusable) {
   Database db;
   Relation l({"a", "b"}), r({"c", "d"});
   std::mt19937_64 rng(3);
@@ -184,10 +184,9 @@ TEST_F(FaultSweepTest, ParallelPipelinesUnderFaultsStayReusable) {
   db.Put("Rr", std::move(r));
   AlgPtr q = Project(Select(Product(Scan("L"), Scan("Rr")), CEq("b", "d")),
                      {"a", "c"});
-  EvalOptions par;
-  par.num_threads = 4;
-  par.use_result_cache = false;
-  Session sess(std::move(db), par);
+  EvalOptions opts;
+  opts.use_result_cache = false;
+  Session sess(std::move(db), opts);
   auto pq = sess.Prepare(q, EvalMode::kSetSql);
   ASSERT_TRUE(pq.ok()) << pq.status().ToString();
   auto ref = pq->Execute();
@@ -205,7 +204,7 @@ TEST_F(FaultSweepTest, ParallelPipelinesUnderFaultsStayReusable) {
           << "fault_seed " << fseed << ": " << res.status().ToString();
     }
     auto after = pq->Execute();
-    ASSERT_TRUE(after.ok()) << "pool poisoned by fault_seed " << fseed;
+    ASSERT_TRUE(after.ok()) << "session poisoned by fault_seed " << fseed;
     EXPECT_TRUE(ref->SameRows(*after));
   }
 }

@@ -1,17 +1,16 @@
 // Differential query fuzzer: seeded random algebra queries
 // (tests/testing_util.h RandomQueryGen) evaluated through the compiled
 // physical-plan pipeline — across all three modes, every rewrite-pass
-// toggle and num_threads ∈ {1, 2, 8} — must agree with a naive reference
-// walk that shares nothing with the plan layer (no lowering, no rewrite
-// passes, no hashing fast paths, no thread pool: just nested loops over
-// the algebra tree). The Fig. 2(b) Q⁺/Q? translations of the random
+// toggle and the batch sizes {1, 3, 1024} — must agree with a naive
+// reference walk that shares nothing with the plan layer (no lowering, no
+// rewrite passes, no hashing fast paths: just nested loops over the
+// algebra tree). The Fig. 2(b) Q⁺/Q? translations of the random
 // core-grammar queries run through the same matrix, with Q⁺ ⊆ Q? checked
 // on every case.
 //
 // Environment knobs (all optional; see BUILDING.md "Differential fuzzer"):
 //   INCDB_FUZZ_SEED      base RNG seed (default 20260730)
 //   INCDB_FUZZ_CASES     cases per mode (default 500)
-//   INCDB_FUZZ_THREADS   one extra thread count to test (CI uses 4)
 //   INCDB_FUZZ_BATCH     force EvalOptions::batch_size on every config
 //                        (CI runs the whole matrix once with 1, the
 //                        row-at-a-time cadence)
@@ -334,14 +333,8 @@ struct FuzzConfig {
 };
 
 /// Every rewrite pass individually off, everything on, everything off —
-/// the matrix the plan layer must be invisible on — crossed with the
-/// tested thread counts (parallel_min_rows = 0 forces the parallel
-/// operators even on fuzz-sized inputs).
+/// the matrix the plan layer must be invisible on.
 std::vector<FuzzConfig> FuzzConfigs() {
-  std::vector<size_t> thread_counts = {1, 2, 8};
-  if (uint64_t extra = EnvOr("INCDB_FUZZ_THREADS", 0)) {
-    thread_counts.push_back(extra);
-  }
   std::vector<std::pair<std::string, EvalOptions>> bases;
   bases.push_back({"all", EvalOptions{}});
   {
@@ -375,14 +368,9 @@ std::vector<FuzzConfig> FuzzConfigs() {
   const uint64_t forced_batch = FuzzBatchOverride();
   std::vector<FuzzConfig> configs;
   for (const auto& [name, base] : bases) {
-    for (size_t threads : thread_counts) {
-      EvalOptions o = base;
-      o.num_threads = threads;
-      o.parallel_min_rows = 0;
-      if (forced_batch > 0) o.batch_size = forced_batch;
-      configs.push_back(
-          {name + "/t" + std::to_string(threads), o});
-    }
+    EvalOptions o = base;
+    if (forced_batch > 0) o.batch_size = forced_batch;
+    configs.push_back({name, o});
   }
   // The vectorized-executor matrix: the single-row window (1, the
   // row-at-a-time cadence), a deliberately awkward window that straddles
@@ -390,15 +378,9 @@ std::vector<FuzzConfig> FuzzConfigs() {
   // configs above). Bit-identity across all of them is the batching
   // contract.
   for (size_t batch : {size_t{1}, size_t{3}}) {
-    for (size_t threads : thread_counts) {
-      EvalOptions o;
-      o.num_threads = threads;
-      o.parallel_min_rows = 0;
-      o.batch_size = batch;
-      configs.push_back({"all/b" + std::to_string(batch) + "/t" +
-                             std::to_string(threads),
-                         o});
-    }
+    EvalOptions o;
+    o.batch_size = batch;
+    configs.push_back({"all/b" + std::to_string(batch), o});
   }
   return configs;
 }
@@ -453,7 +435,7 @@ TEST(FuzzDiffTest, SqlModeAgreesWithReferenceWalk) {
 // The certain-answer approximations: TranslatePlus / TranslateMaybe of
 // each random query (their σ?-rule joins are θ* joins, and every Q⁺ of a
 // difference holds a ⋉⇑) run through the compiled pipeline across the
-// whole toggle × batch × threads matrix and must agree with the reference
+// whole toggle × batch matrix and must agree with the reference
 // walk of the translated algebra; Q⁺ ⊆ Q? on every case. Queries outside
 // the translations' core grammar (or with null/const tests in the source)
 // are skipped and counted.
@@ -565,7 +547,7 @@ TEST(FuzzDiffTest, ResultCacheToggleIsBitIdentical) {
 // row-level Mutate batches with prepared executions and cross-check the
 // (possibly delta-maintained) cached result against a maintenance-free
 // cold recompute after every commit. Crossed over the vectorized batch
-// sizes {1, 3, 1024} × thread counts {1, 8} — the delta propagator runs
+// sizes {1, 3, 1024} — the delta propagator runs
 // the plan's stored predicate programs and the executor's join kernels at
 // the plan's batch size, so 3 makes pair windows straddle delta joins. Set
 // modes also exercise the deletion → invalidation fallback (removals are
@@ -574,12 +556,7 @@ TEST(FuzzDiffTest, ResultCacheToggleIsBitIdentical) {
 TEST(FuzzDiffTest, MaintainedResultsMatchColdRecompute) {
   const uint64_t seed = EnvOr("INCDB_FUZZ_SEED", 20260730);
   const uint64_t cases = EnvOr("INCDB_FUZZ_CASES", 500);
-  struct Cfg {
-    size_t batch;
-    size_t threads;
-  };
-  constexpr Cfg kCfgs[] = {{1, 1}, {1, 8},    {3, 1},
-                           {3, 8}, {1024, 1}, {1024, 8}};
+  constexpr size_t kBatches[] = {1, 3, 1024};
   constexpr const char* kRels[] = {"R", "S", "T"};
   for (EvalMode mode :
        {EvalMode::kSetNaive, EvalMode::kBagNaive, EvalMode::kSetSql}) {
@@ -588,16 +565,14 @@ TEST(FuzzDiffTest, MaintainedResultsMatchColdRecompute) {
     RandomQueryGen gen(rng);
     uint64_t maintained = 0;
     for (uint64_t i = 0; i < cases; ++i) {
-      const Cfg cfg = kCfgs[i % std::size(kCfgs)];
+      const size_t batch = kBatches[i % std::size(kBatches)];
       const size_t tuples = 3 + i % 4;
       Database db = (i % 2 == 0) ? RandomDatabase(rng, tuples)
                                  : RandomBagDatabase(rng, tuples);
       AlgPtr q = gen.Gen(2 + static_cast<int>(i % 3));
 
       EvalOptions on;
-      on.batch_size = cfg.batch;
-      on.num_threads = cfg.threads;
-      on.parallel_min_rows = 0;
+      on.batch_size = batch;
       EvalOptions off = on;
       off.use_result_cache = false;
       Session maint(db, on);
@@ -653,8 +628,8 @@ TEST(FuzzDiffTest, MaintainedResultsMatchColdRecompute) {
             << got.status().ToString() << " / " << want.status().ToString();
         ASSERT_TRUE(want->SameRows(*got))
             << "case " << i << " round " << round << " (mode "
-            << static_cast<int>(mode) << ", b" << cfg.batch << "/t"
-            << cfg.threads << ") maintained path diverges for "
+            << static_cast<int>(mode) << ", b" << batch
+            << ") maintained path diverges for "
             << q->ToString() << "\ncold:\n"
             << want->ToString() << "\nmaintained:\n"
             << got->ToString();
@@ -679,10 +654,8 @@ TEST(FuzzDiffTest, MaintainedResultsMatchColdRecompute) {
 // un-hashed semijoin, θ* null-key sweeps). Over 40-row relations with 3
 // key values, buckets and null lists outgrow the small windows. Every
 // residual-bearing join kind must agree with the reference walk at every
-// batch size × thread count in every mode, and row for row with the
-// single-pair window at the same thread count (the partitioned hash join
-// merges in partition-index order, so row order is fixed per thread
-// count, not across them).
+// batch size in every mode, and row for row with the single-pair window:
+// every operator emits its rows in one order at every batch size.
 TEST(FuzzDiffTest, JoinResidualWindowsMatchReference) {
   const uint64_t seed = EnvOr("INCDB_FUZZ_SEED", 20260730);
   const uint64_t cases = EnvOr("INCDB_FUZZ_CASES", 500) / 25 + 1;
@@ -754,31 +727,27 @@ TEST(FuzzDiffTest, JoinResidualWindowsMatchReference) {
             << PlanToString(**plan);
         auto ref = RefEval(shape.q, db, me.mode);
         ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-        for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-          std::optional<Relation> single_pair;
-          for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
-            EvalOptions opts;
-            opts.batch_size = batch;
-            opts.num_threads = threads;
-            opts.parallel_min_rows = 0;
-            auto res = me.eval(shape.q, db, opts);
-            ASSERT_TRUE(res.ok()) << res.status().ToString();
-            ASSERT_TRUE(ref->SameRows(*res))
-                << "case " << i << " shape " << si << " (mode "
-                << static_cast<int>(me.mode) << ", b" << batch << "/t"
-                << threads << ") diverges for " << shape.q->ToString()
-                << "\nreference:\n"
-                << ref->ToString() << "\nplan:\n"
-                << res->ToString();
-            if (!single_pair) {
-              single_pair = std::move(*res);
-              continue;
-            }
-            ASSERT_TRUE(single_pair->IdenticalTo(*res))
-                << "case " << i << " shape " << si << " (mode "
-                << static_cast<int>(me.mode) << ", b" << batch << "/t"
-                << threads << ") row order differs from batch 1";
+        std::optional<Relation> single_pair;
+        for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+          EvalOptions opts;
+          opts.batch_size = batch;
+          auto res = me.eval(shape.q, db, opts);
+          ASSERT_TRUE(res.ok()) << res.status().ToString();
+          ASSERT_TRUE(ref->SameRows(*res))
+              << "case " << i << " shape " << si << " (mode "
+              << static_cast<int>(me.mode) << ", b" << batch
+              << ") diverges for " << shape.q->ToString()
+              << "\nreference:\n"
+              << ref->ToString() << "\nplan:\n"
+              << res->ToString();
+          if (!single_pair) {
+            single_pair = std::move(*res);
+            continue;
           }
+          ASSERT_TRUE(single_pair->IdenticalTo(*res))
+              << "case " << i << " shape " << si << " (mode "
+              << static_cast<int>(me.mode) << ", b" << batch
+              << ") row order differs from batch 1";
         }
       }
     }

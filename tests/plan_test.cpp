@@ -2,10 +2,8 @@
 // on/off must produce identical relations across all three evaluation
 // modes on the desugar/chase corpus; compiled plans have the expected
 // shape (a conjunctive query joins with exactly one HashJoin and no
-// NLJoin); leaf scans borrow the database rows instead of copying; the
-// parallel partitioned hash join agrees with the sequential one; the
-// chunk-partitioned operators (NL join, difference, ⋉⇑) are row-for-row
-// identical to sequential at every thread count; and the query-identity
+// NLJoin); leaf scans borrow the database rows instead of copying; joins
+// honour the tuple budget; and the query-identity
 // plan cache (src/eval/plan_cache.h) accounts hits/misses, distinguishes
 // α-renamed from structurally identical queries, invalidates on schema
 // change and survives concurrent lookups.
@@ -21,7 +19,6 @@
 #include "algebra/builder.h"
 #include "approx/approx.h"
 #include "eval/eval.h"
-#include "eval/parallel_policy.h"
 #include "eval/plan.h"
 #include "eval/plan_cache.h"
 #include "tests/testing_util.h"
@@ -371,145 +368,7 @@ TEST(PlanExecTest, RelationViewOwnBorrowRenameMaterialize) {
   EXPECT_EQ(back.Count(Tuple{Value::Int(1), Value::Int(2)}), 1u);
 }
 
-TEST(PlanExecTest, ParallelHashJoinMatchesSequential) {
-  // Big enough to cross the parallel threshold; includes nulls so the
-  // SQL-mode null-key skipping is exercised too.
-  std::mt19937_64 rng(8);
-  Database db;
-  Relation l({"a", "b"}), r({"c", "d"});
-  for (int i = 0; i < 1500; ++i) {
-    l.Add({Value::Int(static_cast<int64_t>(rng() % 200)),
-           Value::Int(static_cast<int64_t>(i))});
-    if (i % 97 == 0) {
-      r.Add({Value::Null(i), Value::Int(static_cast<int64_t>(rng() % 200))});
-    } else {
-      r.Add({Value::Int(static_cast<int64_t>(i)),
-             Value::Int(static_cast<int64_t>(rng() % 200))});
-    }
-  }
-  db.Put("L", l);
-  db.Put("Rr", r);
-  AlgPtr join = Join(Scan("L"), Scan("Rr"), CEq("b", "c"));
-  AlgPtr fused = Project(Select(Product(Scan("L"), Scan("Rr")),
-                                CEq("b", "c")),
-                         {"a", "d"});
-  for (const AlgPtr& q : {join, fused}) {
-    using EvalFn = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
-                                           const EvalOptions&);
-    for (EvalFn eval : {EvalFn(&EvalSet), EvalFn(&EvalBag), EvalFn(&EvalSql)}) {
-      EvalOptions seq;
-      auto ref = (*eval)(q, db, seq);
-      ASSERT_TRUE(ref.ok());
-      for (size_t threads : {2, 4}) {
-        EvalOptions par;
-        par.num_threads = threads;
-        auto res = (*eval)(q, db, par);
-        ASSERT_TRUE(res.ok());
-        EXPECT_TRUE(ref->SameRows(*res))
-            << q->ToString() << " with " << threads << " threads";
-      }
-    }
-  }
-}
-
-// A medium database for the chunk-partitioned operators: two overlapping
-// 3000-row relations with sprinkled nulls and bag multiplicities.
-Database ChunkOpDatabase() {
-  std::mt19937_64 rng(9);
-  Database db;
-  Relation p1({"a", "b"}), p2({"a", "b"});
-  for (int i = 0; i < 3000; ++i) {
-    Value a = (i % 61 == 0) ? Value::Null(i % 7)
-                            : Value::Int(static_cast<int64_t>(rng() % 2000));
-    p1.Add({a, Value::Int(static_cast<int64_t>(rng() % 50))}, 1 + i % 3);
-    Value a2 = (i % 83 == 0) ? Value::Null(i % 5)
-                             : Value::Int(static_cast<int64_t>(rng() % 2000));
-    p2.Add({a2, Value::Int(static_cast<int64_t>(rng() % 50))}, 1 + i % 2);
-  }
-  db.Put("P1", std::move(p1));
-  db.Put("P2", std::move(p2));
-  // Smaller pair for the quadratic NL join (400×400 pairs per eval).
-  Relation n1({"a", "b"}), n2({"c", "d"});
-  for (int i = 0; i < 400; ++i) {
-    n1.Add({Value::Int(static_cast<int64_t>(rng() % 300)),
-            Value::Int(static_cast<int64_t>(rng() % 50))});
-    n2.Add({(i % 37 == 0) ? Value::Null(i % 3)
-                          : Value::Int(static_cast<int64_t>(rng() % 300)),
-            Value::Int(static_cast<int64_t>(rng() % 50))});
-  }
-  db.Put("N1", std::move(n1));
-  db.Put("N2", std::move(n2));
-  return db;
-}
-
-/// The chunk-partitioned operators promise more than SameRows: chunk
-/// outputs merged in chunk order reproduce the exact sequential insertion
-/// order, so the materialised relation is row-for-row identical at every
-/// thread count.
-TEST(PlanExecTest, ChunkParallelOperatorsAreBitIdenticalToSequential) {
-  Database db = ChunkOpDatabase();
-  // Difference (HashDiff in all three modes, incl. SQL NOT-IN), ⋉⇑, and a
-  // non-equality join condition that compiles to an NLJoin.
-  std::vector<AlgPtr> queries = {
-      Diff(Scan("P1"), Scan("P2")),
-      AntijoinUnify(Scan("P1"), Scan("P2")),
-      Join(Scan("N1"), Scan("N2"), CLt("b", "d")),
-  };
-  for (const AlgPtr& q : queries) {
-    using EvalFn = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
-                                           const EvalOptions&);
-    for (EvalFn eval : {EvalFn(&EvalSet), EvalFn(&EvalBag), EvalFn(&EvalSql)}) {
-      EvalOptions seq;
-      seq.use_plan_cache = false;
-      auto ref = (*eval)(q, db, seq);
-      ASSERT_TRUE(ref.ok()) << q->ToString() << ": "
-                            << ref.status().ToString();
-      for (size_t threads : {2, 3, 8}) {
-        EvalOptions par = seq;
-        par.num_threads = threads;
-        auto res = (*eval)(q, db, par);
-        ASSERT_TRUE(res.ok()) << q->ToString() << " with " << threads
-                              << " threads: " << res.status().ToString();
-        EXPECT_TRUE(ref->IdenticalTo(*res))
-            << q->ToString() << " with " << threads << " threads";
-      }
-    }
-  }
-}
-
-// parallel_min_rows = 0 forces the chunked paths on tiny inputs — the
-// boundary cases (empty sides, single rows, more chunks than rows).
-TEST(PlanExecTest, ChunkParallelOperatorsHandleTinyInputs) {
-  std::mt19937_64 rng(10);
-  Database db = RandomDatabase(rng, /*tuples_per_rel=*/2);
-  std::vector<AlgPtr> queries = {
-      Diff(Scan("R"), Scan("S")),
-      AntijoinUnify(Scan("R"), Scan("S")),
-      Join(Scan("R"), Rename(Scan("S"), {"c", "d"}), CNeq("R_a", "c")),
-      Diff(Select(Scan("R"), CFalse()), Scan("S")),  // empty left side
-  };
-  for (const AlgPtr& q : queries) {
-    using EvalFn = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
-                                           const EvalOptions&);
-    for (EvalFn eval : {EvalFn(&EvalSet), EvalFn(&EvalBag), EvalFn(&EvalSql)}) {
-      EvalOptions seq;
-      seq.use_plan_cache = false;
-      auto ref = (*eval)(q, db, seq);
-      ASSERT_TRUE(ref.ok());
-      for (size_t threads : {2, 8}) {
-        EvalOptions par = seq;
-        par.num_threads = threads;
-        par.parallel_min_rows = 0;
-        auto res = (*eval)(q, db, par);
-        ASSERT_TRUE(res.ok());
-        EXPECT_TRUE(ref->IdenticalTo(*res))
-            << q->ToString() << " with " << threads << " threads";
-      }
-    }
-  }
-}
-
-TEST(PlanExecTest, ParallelNLJoinHonoursBudget) {
+TEST(PlanExecTest, NLJoinHonoursBudget) {
   Database db;
   Relation l({"a", "b"}), r({"c", "d"});
   for (int i = 0; i < 600; ++i) {
@@ -520,43 +379,11 @@ TEST(PlanExecTest, ParallelNLJoinHonoursBudget) {
   db.Put("Rr", r);
   // b ≠ d holds for most of the 360000 pairs — far beyond the budget.
   EvalOptions opts;
-  opts.num_threads = 4;
   opts.max_tuples = 10;
   opts.use_plan_cache = false;
   auto res = EvalSet(Join(Scan("L"), Scan("Rr"), CNeq("b", "d")), db, opts);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(PlanOptionsTest, NumThreadsZeroAndAbsurdValuesAreValidated) {
-  std::mt19937_64 rng(11);
-  Database db = RandomDatabase(rng);
-  AlgPtr q = Diff(Scan("R"), Scan("S"));
-  // 0 resolves to hardware_concurrency (at least 1).
-  EvalOptions zero;
-  zero.num_threads = 0;
-  auto plan = Compile(q, EvalMode::kSetNaive, zero, db);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_GE((*plan)->opts.num_threads, 1u);
-  EXPECT_LE((*plan)->opts.num_threads, kMaxEvalThreads);
-  // An absurd request clamps instead of allocating a million partitions.
-  EvalOptions absurd;
-  absurd.num_threads = 1 << 20;
-  auto clamped = Compile(q, EvalMode::kSetNaive, absurd, db);
-  ASSERT_TRUE(clamped.ok());
-  EXPECT_EQ((*clamped)->opts.num_threads, kMaxEvalThreads);
-  // Regression: both evaluate and agree with the sequential result.
-  EvalOptions seq;
-  seq.use_plan_cache = false;
-  auto ref = EvalSet(q, db, seq);
-  ASSERT_TRUE(ref.ok());
-  for (EvalOptions o : {zero, absurd}) {
-    o.parallel_min_rows = 0;
-    o.use_plan_cache = false;
-    auto res = EvalSet(q, db, o);
-    ASSERT_TRUE(res.ok());
-    EXPECT_TRUE(ref->IdenticalTo(*res));
-  }
 }
 
 TEST(PlanCacheTest, HitMissAccountingAndLookupIdentity) {
@@ -628,18 +455,6 @@ TEST(PlanCacheTest, AlphaRenamedAndDistinctQueriesKeySeparately) {
   other.enable_selection_pushdown = false;
   (void)cache.CompileCached(q, EvalMode::kSetNaive, other, db);
   EXPECT_EQ(cache.stats().misses, 5u);
-  // num_threads participates via its *resolved* value: 0 and
-  // hardware_concurrency() share one entry.
-  EvalOptions zero = opts;
-  zero.num_threads = 0;
-  EvalOptions hw = opts;
-  hw.num_threads = ResolveNumThreads(0);
-  EXPECT_EQ(PlanCacheKey(q, EvalMode::kSetNaive, zero, db),
-            PlanCacheKey(q, EvalMode::kSetNaive, hw, db));
-  (void)cache.CompileCached(q, EvalMode::kSetNaive, zero, db);
-  uint64_t misses = cache.stats().misses;
-  (void)cache.CompileCached(q, EvalMode::kSetNaive, hw, db);
-  EXPECT_EQ(cache.stats().misses, misses);
 }
 
 TEST(PlanOptionsTest, BatchSizeZeroResolvesToOne) {
@@ -787,7 +602,7 @@ TEST(PlanCacheTest, GlobalCacheServesTheEvalWrappers) {
   EXPECT_EQ(mid.hits + mid.misses, end.hits + end.misses);
 }
 
-TEST(PlanExecTest, ParallelJoinHonoursBudget) {
+TEST(PlanExecTest, JoinHonoursBudget) {
   Database db;
   Relation l({"a", "k"}), r({"k2", "b"});
   for (int i = 0; i < 1200; ++i) {
@@ -797,53 +612,12 @@ TEST(PlanExecTest, ParallelJoinHonoursBudget) {
   db.Put("L", l);
   db.Put("Rr", r);
   // 8 distinct keys with 150 rows per side each: 180000 distinct pairs,
-  // far beyond the budget — every partition must abort promptly.
+  // far beyond the budget — the join must abort promptly.
   EvalOptions opts;
-  opts.num_threads = 4;
   opts.max_tuples = 10;
   auto res = EvalSet(Join(Scan("L"), Scan("Rr"), CEq("k", "k2")), db, opts);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted);
-}
-
-// Regression for the difference_parallel non-speedup: at the benchmark's
-// committed 16k-tuple scale (weight ≈ 26k left+right rows) the hash-probe
-// difference lost to pool dispatch at 4 threads (1.01 ms @1t vs 1.05 ms
-// @4t). The per-op grain must keep that shape sequential under the default
-// parallel_min_rows while still going parallel at genuinely large scale,
-// and parallel_min_rows = 0 (the fuzzer / unit-test override) must keep
-// forcing the parallel paths on any input.
-TEST(ParallelPolicyTest, DifferenceGrainKeepsBenchScaleSequential) {
-  constexpr size_t kDefaultMinRows = EvalOptions{}.parallel_min_rows;
-  // The committed bench shape: |L| ≈ 16k, |R| ≈ 10k ⇒ weight ≈ 26k.
-  EXPECT_FALSE(ChunkParallelismProfitable(4, 15925, 26101, kDefaultMinRows,
-                                          ChunkOp::kDifference));
-  // Genuinely large inputs still split across the pool.
-  EXPECT_TRUE(ChunkParallelismProfitable(4, 100'000, 200'000, kDefaultMinRows,
-                                         ChunkOp::kDifference));
-  // Tests force the parallel paths on tiny inputs with min_rows = 0.
-  EXPECT_TRUE(
-      ChunkParallelismProfitable(4, 100, 200, 0, ChunkOp::kDifference));
-  EXPECT_TRUE(ChunkParallelismProfitable(8, 2, 4, 0, ChunkOp::kDifference));
-  // Single-threaded or single-row inputs never dispatch.
-  EXPECT_FALSE(ChunkParallelismProfitable(1, 100'000, 200'000, 0,
-                                          ChunkOp::kDifference));
-  EXPECT_FALSE(
-      ChunkParallelismProfitable(4, 1, 1'000'000, 0, ChunkOp::kDifference));
-}
-
-TEST(ParallelPolicyTest, PairCountingOpsKeepUnitGrain) {
-  constexpr size_t kDefaultMinRows = EvalOptions{}.parallel_min_rows;
-  // The NL join counts pairs: the committed bench shape (1.2k × 1.2k ≈
-  // 1.44M pairs) stays parallel — its @4t speedup is real (529 µs → 224 µs
-  // in BENCH_baseline).
-  EXPECT_TRUE(ChunkParallelismProfitable(4, 1200, 1'440'000, kDefaultMinRows,
-                                         ChunkOp::kNLJoin));
-  EXPECT_TRUE(ChunkParallelismProfitable(4, 16'000, 26'000, kDefaultMinRows,
-                                         ChunkOp::kUnifySemiJoin));
-  EXPECT_EQ(ChunkGrain(ChunkOp::kNLJoin), 1u);
-  EXPECT_EQ(ChunkGrain(ChunkOp::kUnifySemiJoin), 1u);
-  EXPECT_GT(ChunkGrain(ChunkOp::kDifference), 1u);
 }
 
 }  // namespace

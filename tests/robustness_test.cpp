@@ -280,12 +280,11 @@ TEST(BudgetAuditTest, EveryOperatorShapeHonoursMaxTuples) {
   }
 }
 
-TEST(BudgetAuditTest, ParallelOperatorsHonourMaxTuples) {
+TEST(BudgetAuditTest, OperatorsHonourMaxTuples) {
   Database db = SmallJoinDb();
   AlgPtr q = Product(Scan("P"), Scan("Q"));  // 64 tuples
   EvalOptions tight;
   tight.max_tuples = 8;
-  tight.num_threads = 4;
   auto res = EvalSet(q, db, tight);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)

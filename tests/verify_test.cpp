@@ -15,7 +15,7 @@
 //    maintainable, malformed predicate register program (standalone and
 //    stored on a plan node), missing stored program, uncovered parameter
 //    slots, wrong scanned_rels / uses_dom, catalog mismatch, out-of-range
-//    (hash and unify) join keys, unresolved num_threads / batch_size —
+//    (hash and unify) join keys, unresolved batch_size —
 //    each rejected with a kInternal diagnostic naming the offending node
 //    by its root path.
 
@@ -318,7 +318,6 @@ TEST(VerifyNegative, CyclicShare) {
   Plan plan;
   plan.root = a;
   plan.mode = EvalMode::kSetNaive;
-  plan.opts.num_threads = 1;
   Status st = VerifyPlan(plan);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
@@ -518,16 +517,6 @@ TEST(VerifyNegative, UnifyJoinKeyOutOfRange) {
   two_keys->lkeys.push_back(0);
   two_keys->rkeys.push_back(0);
   ExpectRejected(WithRoot(*plan, two_keys), &db, "exactly one key per side");
-}
-
-TEST(VerifyNegative, UnresolvedNumThreads) {
-  std::mt19937_64 rng(10);
-  Database db = RandomDatabase(rng);
-  PlanPtr plan = MustCompile(Scan("R"), db);
-  ASSERT_NE(plan, nullptr);
-  Plan bad = *plan;
-  bad.opts.num_threads = 0;
-  ExpectRejected(bad, &db, "num_threads");
 }
 
 TEST(VerifyNegative, UnresolvedBatchSize) {
