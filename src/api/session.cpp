@@ -16,8 +16,8 @@
 
 #include "approx/approx.h"
 #include "core/fault.h"
-#include "eval/batch.h"
 #include "eval/delta.h"
+#include "eval/row_kernels.h"
 #include "sql/translate.h"
 
 namespace incdb {
@@ -175,22 +175,19 @@ struct Cursor::Impl {
   Status status = Status::OK();
   /// Vectorized drain: RefillBatch pulls windows of at most
   /// EvalOptions::batch_size base rows (1 = row-at-a-time) and pushes them
-  /// through the stage chain column-wise with the predicate programs
-  /// stored on the plan nodes, the same ones the bulk executor runs.
+  /// through the stage chain with the executor's row kernels.
   /// Delivery-side dedup and the max_tuples budget run per pop; the
   /// deadline/cancel checkpoint runs once per window. `buf` holds the rows
-  /// that survived the stage chain, not yet delivered.
-  std::vector<Relation::Row> buf;
+  /// that survived the stage chain, not yet delivered; `next` receives a
+  /// stage's output.
+  Rows buf, next;
   size_t buf_pos = 0;
   /// Progressive refill window: starts small (a top-k caller that drains
   /// ten rows must not pay for a 1024-row transposition) and grows 8×
   /// per refill up to batch_size (16 → 128 → 1024), so full drains amortize
   /// to the configured batch size after two windows.
   size_t window = 0;
-  BatchGather gather;
-  Batch colbatch;
-  BatchPredicate::Scratch scratch;
-  SelVector sel;
+  FilterScratch filter;
 
   Impl(std::shared_ptr<SessionState> s, PlanPtr p, Database snap)
       : state(std::move(s)),
@@ -201,70 +198,53 @@ struct Cursor::Impl {
 
 namespace {
 /// Pulls windows of base rows (at most the plan's batch_size) and pushes
-/// each through the stage chain bottom-up, column-at-a-time, until some
-/// rows survive or the base is drained. A chain of zero stages passes each
-/// window through unchanged. One deadline/cancel check per window. Returns
-/// non-OK only for a ctx failure (the caller latches it;
-/// buffered-but-undelivered rows are dropped, matching the executor's
-/// partial-result semantics).
+/// each through the stage chain bottom-up until some rows survive or the
+/// base is drained. Filter, fused project-filter and project stages run
+/// the executor's row kernels (eval/row_kernels.h); the first stage reads
+/// its window straight from the base rows, so only surviving rows are
+/// copied. A chain of zero stages (or only renames) copies each window
+/// through unchanged. One deadline/cancel check per window. Returns non-OK
+/// only for a ctx failure (the caller latches it; buffered-but-undelivered
+/// rows are dropped, matching the executor's partial-result semantics).
 /// Template so the (private) Cursor::Impl type is deduced, never named.
 template <typename ImplT>
 Status RefillBatch(ImplT& I) {
-  const std::vector<Relation::Row>& rows = I.base.rows();
+  const Rows& rows = I.base.rows();
+  const size_t batch = I.plan->opts.batch_size;
+  auto no_tick = [](uint64_t) { return Status::OK(); };
+  auto emit = [&I](const Tuple& t, uint64_t c, bool) {
+    I.next.emplace_back(t, c);
+    return Status::OK();
+  };
   while (I.buf_pos >= I.buf.size() && I.next_row < rows.size()) {
     if (I.limited) INCDB_RETURN_IF_ERROR(I.ctx.Check());
-    const size_t batch = I.plan->opts.batch_size;
     I.window = I.window == 0 ? std::min<size_t>(batch, 16)
                              : std::min(batch, I.window * 8);
-    const size_t begin = I.next_row;
-    const size_t end = std::min(rows.size(), begin + I.window);
+    // The current stage's input: rows [begin, end) of `in`.
+    const Rows* in = &rows;
+    size_t begin = I.next_row;
+    size_t end = std::min(rows.size(), begin + I.window);
     I.next_row = end;
-    I.buf.assign(rows.begin() + begin, rows.begin() + end);
     I.buf_pos = 0;
-    for (size_t si = I.stages.size(); si-- > 0 && !I.buf.empty();) {
+    for (size_t si = I.stages.size(); si-- > 0 && begin < end;) {
       const PhysNode* n = I.stages[si];
-      switch (n->op) {
-        case PhysOp::kFilterSel:
-        case PhysOp::kFusedProjectFilter: {
-          const bool fused = n->op == PhysOp::kFusedProjectFilter;
-          const BatchPredicate& bp = *n->batch_pred;
-          I.gather.Gather(I.buf, 0, I.buf.size(), bp.referenced(),
-                          n->left->attrs.size(), &I.colbatch);
-          I.sel.clear();
-          bp.SelectTrue(I.colbatch, &I.scratch, &I.sel);
-          size_t w = 0;
-          for (uint32_t s : I.sel) {
-            if (fused) {
-              I.buf[w] = {I.buf[s].first.Project(n->proj_pos),
-                          I.buf[s].second};
-            } else if (w != s) {
-              I.buf[w] = std::move(I.buf[s]);
-            }
-            ++w;
-          }
-          I.buf.resize(w);
-          break;
+      if (n->op == PhysOp::kRename) continue;  // positional: nothing per row
+      I.next.clear();
+      if (n->op == PhysOp::kDistinct) {
+        for (size_t i = begin; i < end; ++i) {
+          const Tuple& t = (*in)[i].first;
+          if (I.distinct_seen[si].insert(t).second) I.next.emplace_back(t, 1);
         }
-        case PhysOp::kProject:
-          for (auto& [t, c] : I.buf) t = t.Project(n->proj_pos);
-          break;
-        case PhysOp::kRename:
-          break;  // positional: nothing to do per row
-        case PhysOp::kDistinct: {
-          size_t w = 0;
-          for (size_t i = 0; i < I.buf.size(); ++i) {
-            if (!I.distinct_seen[si].insert(I.buf[i].first).second) continue;
-            if (w != i) I.buf[w] = std::move(I.buf[i]);
-            I.buf[w].second = 1;
-            ++w;
-          }
-          I.buf.resize(w);
-          break;
-        }
-        default:
-          break;  // unreachable: OpenCursor only chains the above
+      } else {
+        INCDB_RETURN_IF_ERROR(UnaryRows(*n, batch, *in, begin, end, &I.filter,
+                                        no_tick, emit));
       }
+      std::swap(I.buf, I.next);
+      in = &I.buf;
+      begin = 0;
+      end = I.buf.size();
     }
+    if (in == &rows) I.buf.assign(rows.begin() + begin, rows.begin() + end);
   }
   return Status::OK();
 }

@@ -5,8 +5,8 @@
 /// \brief Columnar chunk representation for the vectorized executor
 /// (MonetDB/X100 style).
 ///
-/// Relations store flat rows (core/relation.h); the operator loops of
-/// eval/exec.cpp transpose the columns a predicate actually touches into
+/// Relations store flat rows (core/relation.h); the row kernels of
+/// eval/row_kernels.h transpose the columns a predicate actually touches into
 /// contiguous `Value` runs of EvalOptions::batch_size rows, evaluate the
 /// condition program column-at-a-time into a selection vector, and gather
 /// the surviving rows from the original row storage. Join residuals run

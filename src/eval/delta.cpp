@@ -1,11 +1,12 @@
 // Delta propagation through the maintainable plan subset (see delta.h).
 //
-// The propagator mirrors the executor's emit semantics operator by
-// operator (exec.cpp is the authority): same predicate truth threshold,
-// same multiplicity arithmetic, same set-semantics collapses; the joins
-// run the executor's own row kernels (eval/join_rows.h). Maintained results
-// must be bag-identical to cold recomputation — the differential fuzzer
-// crosses the two paths.
+// Filters, projections and joins run the executor's own row kernels
+// (eval/row_kernels.h, eval/join_rows.h) over the delta rows, so the truth
+// threshold, multiplicity arithmetic and fused projections are shared, not
+// mirrored; this file adds only the delta algebra around them and the
+// executor's set-semantics collapses. Maintained results must be
+// bag-identical to cold recomputation — the differential fuzzer crosses
+// the two paths.
 
 #include "eval/delta.h"
 
@@ -16,13 +17,16 @@
 #include <utility>
 #include <vector>
 
-#include "eval/batch.h"
 #include "eval/join_rows.h"
+#include "eval/row_kernels.h"
 #include "eval/verify.h"
 
 namespace incdb {
 
 namespace {
+
+/// Maintenance runs to completion: the kernels' tick hook never stops it.
+Status NoTick(uint64_t) { return Status::OK(); }
 
 class DeltaPropagator {
  public:
@@ -81,11 +85,9 @@ class DeltaPropagator {
       case PhysOp::kScanView:
         return ScanDelta(n);
       case PhysOp::kFilterSel:
-        return FilterDelta(n, /*fused=*/false);
       case PhysOp::kFusedProjectFilter:
-        return FilterDelta(n, /*fused=*/true);
       case PhysOp::kProject:
-        return ProjectDelta(n);
+        return UnaryDelta(n);
       case PhysOp::kRename: {
         auto child = Delta(n.left);
         if (!child.ok()) return child;
@@ -149,59 +151,25 @@ class DeltaPropagator {
     return out;
   }
 
-  /// σ over the delta rows: the node's columnar program sweeps the delta
-  /// in batch_size windows exactly like the executor sweeps base rows.
-  /// Counts pass through; the fused projection collapses under set
+  /// σ, the fused π∘σ and π over the delta rows, each sign separately:
+  /// the node's row kernel sweeps the delta exactly like the executor
+  /// sweeps base rows. Counts pass through; projections collapse under set
   /// semantics like the executor.
-  StatusOr<RelationDelta> FilterDelta(const PhysNode& n, bool fused) {
+  StatusOr<RelationDelta> UnaryDelta(const PhysNode& n) {
     auto child = Delta(n.left);
     if (!child.ok()) return child;
     RelationDelta out{Relation(n.attrs), Relation(n.attrs)};
-    INCDB_RETURN_IF_ERROR(FilterInto(n, fused, child->plus.rows(), &out.plus));
-    INCDB_RETURN_IF_ERROR(
-        FilterInto(n, fused, child->minus.rows(), &out.minus));
-    if (fused && set()) out.plus.CollapseCounts();
-    return out;
-  }
-
-  Status FilterInto(const PhysNode& n, bool fused,
-                    const std::vector<Relation::Row>& rows, Relation* out) {
-    const BatchPredicate& bp = *n.batch_pred;
-    const size_t bs = plan_->opts.batch_size;
-    Tuple scratch;
-    for (size_t begin = 0; begin < rows.size(); begin += bs) {
-      const size_t end = std::min(rows.size(), begin + bs);
-      gather_.Gather(rows, begin, end, bp.referenced(), n.left->attrs.size(),
-                     &batch_);
-      sel_.clear();
-      bp.SelectTrue(batch_, &bp_scratch_, &sel_);
-      for (uint32_t i : sel_) {
-        const auto& [t, c] = rows[begin + i];
-        if (fused) {
-          scratch.AssignProject(t, n.proj_pos);
-          INCDB_RETURN_IF_ERROR(out->Insert(scratch, c));
-        } else {
-          INCDB_RETURN_IF_ERROR(out->Insert(t, c));
-        }
-      }
+    for (auto [in, into] : {std::pair{&child->plus, &out.plus},
+                            std::pair{&child->minus, &out.minus}}) {
+      // `into` starts empty: rows the kernel marks distinct skip the probe.
+      auto emit = [into](const Tuple& t, uint64_t c, bool distinct) {
+        return distinct ? into->InsertUnique(t, c) : into->Insert(t, c);
+      };
+      const Rows& rows = in->rows();
+      INCDB_RETURN_IF_ERROR(UnaryRows(n, window(), rows, 0, rows.size(),
+                                      &filter_, NoTick, emit));
     }
-    return Status::OK();
-  }
-
-  StatusOr<RelationDelta> ProjectDelta(const PhysNode& n) {
-    auto child = Delta(n.left);
-    if (!child.ok()) return child;
-    RelationDelta out{Relation(n.attrs), Relation(n.attrs)};
-    Tuple scratch;
-    for (const auto& [t, c] : child->plus.rows()) {
-      scratch.AssignProject(t, n.proj_pos);
-      INCDB_RETURN_IF_ERROR(out.plus.Insert(scratch, c));
-    }
-    for (const auto& [t, c] : child->minus.rows()) {
-      scratch.AssignProject(t, n.proj_pos);
-      INCDB_RETURN_IF_ERROR(out.minus.Insert(scratch, c));
-    }
-    if (set()) out.plus.CollapseCounts();
+    if (n.op != PhysOp::kFilterSel && set()) out.plus.CollapseCounts();
     return out;
   }
 
@@ -258,22 +226,24 @@ class DeltaPropagator {
   /// fused projection and SQL null-key skips. No checkpoints; every emitted
   /// row inserts into `out`, which may already hold rows of the other
   /// delta term.
-  Status JoinInto(const PhysNode& n, const std::vector<Relation::Row>& lrows,
-                  const std::vector<Relation::Row>& rrows, Relation* out) {
-    const size_t window = plan_->opts.batch_size;
-    auto tick = [](uint64_t) { return Status::OK(); };
+  Status JoinInto(const PhysNode& n, const Rows& lrows, const Rows& rrows,
+                  Relation* out) {
+    // `out` may hold rows of the other delta term: every row probes.
     auto emit = [out](const Tuple& t, uint64_t c, bool) {
       return out->Insert(t, c);
     };
     switch (n.op) {
       case PhysOp::kHashJoin:
-        return HashJoinRows(n, set(), sql(), window, lrows, rrows, tick, emit);
+        return HashJoinRows(n, set(), sql(), window(), lrows, rrows, NoTick,
+                            emit);
       case PhysOp::kNLJoin:
-        return NLJoinRows(n, set(), window, lrows, rrows, tick, emit);
+        return NLJoinRows(n, set(), window(), lrows, rrows, NoTick, emit);
       default:
-        return UnifyJoinRows(n, set(), window, lrows, rrows, tick, emit);
+        return UnifyJoinRows(n, set(), window(), lrows, rrows, NoTick, emit);
     }
   }
+
+  size_t window() const { return plan_->opts.batch_size; }
 
   PlanPtr plan_;
   const CommitInfo& info_;
@@ -282,10 +252,7 @@ class DeltaPropagator {
   std::unordered_map<const PhysNode*, bool> affected_;
   /// (node, post?) → boundary value; untouched subtrees share the pre key.
   std::map<std::pair<const void*, bool>, RelationView> values_;
-  BatchGather gather_;
-  Batch batch_;
-  SelVector sel_;
-  BatchPredicate::Scratch bp_scratch_;
+  FilterScratch filter_;
 };
 
 }  // namespace

@@ -46,9 +46,13 @@ namespace incdb {
 /// they exist for the ablation study (bench_ablation) and disabling them
 /// never changes results, only cost (and the compiled plan's shape).
 struct EvalOptions {
-  /// Abort with ResourceExhausted once a single operator has produced this
-  /// many tuple occurrences. Dom^k products (Fig. 2a) hit this quickly,
-  /// which is experiment E2.
+  /// Abort with ResourceExhausted once one execution has produced more
+  /// than this many tuple occurrences in total: every operator's emitted
+  /// rows count with their multiplicities, summed over all operators of
+  /// the plan, and so does a borrowed relation the execution copies (the
+  /// left side of a union) or hands out as its result (a bare scan). A
+  /// streaming cursor separately stops after delivering this many rows.
+  /// Dom^k products (Fig. 2a) hit this quickly, which is experiment E2.
   uint64_t max_tuples = 100'000'000;
   /// Hash join on top-level equality conjuncts (vs nested loops); with
   /// none, the null-aware UnifyJoin on a θ* = (a = b ∨ null(a) ∨ null(b))

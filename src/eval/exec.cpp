@@ -5,21 +5,24 @@
 // each operator sequentially on the calling thread, so every operator
 // emits its rows in one order at every configuration.
 //
-// Each join kind runs one row kernel (eval/join_rows.h), shared with delta
-// maintenance.
+// Every operator emits through one output sink (Executor::Sink). Filters,
+// projections and joins run the row kernels of eval/row_kernels.h and
+// eval/join_rows.h, which delta maintenance (and, for the unary ones, the
+// streaming cursor) share.
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "core/exec_context.h"
 #include "core/fault.h"
-#include "eval/batch.h"
 #include "eval/eval.h"
 #include "eval/join_rows.h"
 #include "eval/plan.h"
+#include "eval/row_kernels.h"
 #include "eval/unify_index.h"
 
 namespace incdb {
@@ -54,7 +57,9 @@ class Executor {
  public:
   Executor(const Plan& plan, const Database& db, const ExecContext& ctx)
       : plan_(plan), db_(db), scans_(db), ctx_(&ctx),
-        limited_(ctx.limited()) {}
+        limited_(ctx.limited()),
+        mem_limit_(ctx.soft_mem_limit_bytes != 0 ? ctx.soft_mem_limit_bytes
+                                                 : UINT64_MAX) {}
 
   StatusOr<Relation> Run() {
     // Fast-fail an already-expired deadline or pre-cancelled token before
@@ -71,8 +76,8 @@ class Executor {
     // over an already-set scan) was never charged by any materializing
     // operator — budget it here so max_tuples bounds every relation the
     // executor hands out, not just the ones it had to build.
-    if (out->borrowed()) {
-      INCDB_RETURN_IF_ERROR(Budget(out->TotalSize(), out->arity()));
+    if (out->borrowed() && !Charge(out->TotalSize(), out->arity())) {
+      return OverBudget();
     }
     INCDB_FAULT_POINT("exec.materialize");
     Relation rel = std::move(*out).Materialize();
@@ -102,9 +107,19 @@ class Executor {
     return ctx_->Check(mem_used_);
   }
 
-  Status Budget(uint64_t produced, size_t arity) {
+  /// Charges `produced` tuple occurrences of `arity` columns to the
+  /// execution's running totals; false once they exceed
+  /// EvalOptions::max_tuples or the context's soft memory limit
+  /// (OverBudget() says which). Runs once per emitted row, so it only
+  /// compares: deadline and cancel stay on the Checkpoint cadence.
+  bool Charge(uint64_t produced, size_t arity) {
     produced_ += produced;
     mem_used_ += produced * arity * sizeof(Value);
+    return produced_ <= plan_.opts.max_tuples && mem_used_ <= mem_limit_;
+  }
+
+  /// The error of a failed Charge.
+  Status OverBudget() const {
     if (produced_ > plan_.opts.max_tuples) {
       StatusDetail d;
       d.budget_used = produced_;
@@ -113,46 +128,47 @@ class Executor {
                                        std::to_string(plan_.opts.max_tuples))
           .WithDetail(std::move(d));
     }
-    // The soft memory budget is enforced on the same cadence as the tuple
-    // budget: every materializing operator reports here.
-    if (limited_ && ctx_->soft_mem_limit_bytes != 0) {
-      return ctx_->Check(mem_used_);
-    }
-    return Status::OK();
+    return ctx_->Check(mem_used_);
   }
 
   /// Rows per columnar chunk (resolved at compile time: never 0).
   size_t batch_size() const { return plan_.opts.batch_size; }
 
-  /// Runs `body(tick, emit)`, a row loop with the join kernels' hooks
-  /// (eval/join_rows.h): checkpoints on the executor's schedule, rows
-  /// inserted into the output (no duplicate probe for distinct ones) and
-  /// charged to the budget per emitted multiplicity. With a fused
-  /// projection under set semantics, distinct pairs may collapse;
-  /// multiplicities normalise at the end.
+  /// The operator's output sink. Runs `body(tick, emit)`, a row loop with
+  /// the row kernels' hooks (eval/row_kernels.h, eval/join_rows.h):
+  /// checkpoints on the executor's schedule, rows inserted into the output
+  /// (no duplicate probe for distinct ones) and charged to the budget per
+  /// emitted multiplicity. Rows not marked distinct may merge, so under
+  /// set semantics multiplicities normalise at the end. The output starts
+  /// empty, or as `*seed` when given.
   template <typename Body>
-  StatusOr<RelationView> RunSequential(const PhysNode& n, size_t reserve,
-                                       Body&& body) {
-    Relation out(n.attrs);
-    out.Reserve(reserve);
+  StatusOr<RelationView> Sink(const PhysNode& n, size_t reserve, Body&& body,
+                              Relation* seed = nullptr) {
+    Relation out = seed ? std::move(*seed) : Relation(n.attrs);
+    out.Reserve(out.rows().size() + reserve);
+    bool merged = false;
     auto tick = [this](uint64_t units) { return Checkpoint(units); };
-    auto emit = [&](const Tuple& t, uint64_t c, bool distinct) -> Status {
-      INCDB_RETURN_IF_ERROR(distinct ? out.InsertUnique(t, c)
-                                     : out.Insert(t, c));
-      return Budget(c, n.attrs.size());
+    // Runs per row, so each path returns its one Status in place.
+    const size_t arity = n.attrs.size();
+    auto emit = [&, arity](const Tuple& t, uint64_t c,
+                           bool distinct) -> Status {
+      if (!Charge(c, arity)) return OverBudget();
+      if (distinct) return out.InsertUnique(t, c);
+      merged = true;
+      return out.Insert(t, c);
     };
     INCDB_RETURN_IF_ERROR(body(tick, emit));
-    if (n.fused_proj && set_semantics()) out.CollapseCounts();
+    if (merged && set_semantics()) out.CollapseCounts();
     return RelationView::Own(std::move(out));
   }
 
-  /// The left rows of difference/NOT IN and ⋉⇑, each keeping the
-  /// multiplicity `kept(t, c)` (0 drops it); left rows are distinct, so
-  /// each survivor is a fresh row.
+  /// The left rows of difference/NOT IN, intersection/IN and ⋉⇑, each
+  /// keeping the multiplicity `kept(t, c)` (0 drops it); left rows are
+  /// distinct, so each survivor is a fresh row.
   template <typename Kept>
   StatusOr<RelationView> KeepLeftRows(const PhysNode& n, const Rows& lrows,
                                       Kept&& kept) {
-    return RunSequential(n, 0, [&](auto& tick, auto& emit) -> Status {
+    return Sink(n, 0, [&](auto& tick, auto& emit) -> Status {
       for (size_t wb = 0; wb < lrows.size(); wb += batch_size()) {
         const size_t we = std::min(lrows.size(), wb + batch_size());
         INCDB_RETURN_IF_ERROR(tick(we - wb));
@@ -174,11 +190,9 @@ class Executor {
       case PhysOp::kScanView:
         return scans_.Resolve(n.rel_name, set_semantics());
       case PhysOp::kFilterSel:
-        return EvalFilter(n);
       case PhysOp::kFusedProjectFilter:
-        return EvalFusedProjectFilter(n);
       case PhysOp::kProject:
-        return EvalProject(n);
+        return EvalUnary(n);
       case PhysOp::kRename: {
         auto in = Eval(n.left);
         if (!in.ok()) return in;
@@ -211,97 +225,51 @@ class Executor {
         INCDB_RETURN_IF_ERROR(Checkpoint(in->rows().size()));
         Relation out = std::move(*in).Materialize();
         out.CollapseCounts();
-        INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
+        if (!Charge(out.DistinctSize(), n.attrs.size())) return OverBudget();
         return RelationView::Own(std::move(out));
       }
     }
     return Status::Internal("unknown physical operator");
   }
 
-  /// Shared body of the selection operators. The input is swept in
-  /// batch_size windows: only the predicate-referenced columns are
-  /// transposed, the node's columnar program runs into a selection vector,
-  /// and the selected rows are gathered from the original row storage
-  /// (projected through proj_pos when `fused`). Checkpoints fire once per
-  /// window.
-  StatusOr<RelationView> EvalFilterLike(const PhysNode& n, bool fused) {
+  /// σ, the fused π∘σ and π: one sweep of the node's row kernel.
+  StatusOr<RelationView> EvalUnary(const PhysNode& n) {
     auto in = Eval(n.left);
     if (!in.ok()) return in;
-    const std::vector<Relation::Row>& rows = in->rows();
-    const BatchPredicate& bp = *n.batch_pred;
-    // The program was compiled against the operator's input schema: n.attrs
-    // for a plain σ (schema-preserving), the child schema for the fused π∘σ.
-    const size_t in_arity = n.left->attrs.size();
-    Relation out(n.attrs);
-    out.Reserve(rows.size());
-    Tuple scratch;
-    for (size_t begin = 0; begin < rows.size(); begin += batch_size()) {
-      const size_t end = std::min(rows.size(), begin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-      gather_.Gather(rows, begin, end, bp.referenced(), in_arity, &batch_);
-      sel_.clear();
-      bp.SelectTrue(batch_, &bp_scratch_, &sel_);
-      for (uint32_t i : sel_) {
-        const auto& [t, c] = rows[begin + i];
-        if (fused) {
-          scratch.AssignProject(t, n.proj_pos);
-          INCDB_RETURN_IF_ERROR(out.Insert(scratch, c));
-        } else {
-          INCDB_RETURN_IF_ERROR(out.Insert(t, c));
-        }
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    if (fused && set_semantics()) out.CollapseCounts();
-    return RelationView::Own(std::move(out));
+    const Rows& rows = in->rows();
+    return Sink(n, rows.size(), [&](auto& tick, auto& emit) {
+      return UnaryRows(n, batch_size(), rows, 0, rows.size(), &filter_, tick,
+                       emit);
+    });
   }
 
-  StatusOr<RelationView> EvalFilter(const PhysNode& n) {
-    return EvalFilterLike(n, /*fused=*/false);
-  }
-
-  StatusOr<RelationView> EvalFusedProjectFilter(const PhysNode& n) {
-    return EvalFilterLike(n, /*fused=*/true);
-  }
-
-  StatusOr<RelationView> EvalProject(const PhysNode& n) {
-    auto in = Eval(n.left);
-    if (!in.ok()) return in;
-    const std::vector<Relation::Row>& rows = in->rows();
-    Relation out(n.attrs);
-    out.Reserve(rows.size());
-    Tuple scratch;
-    // Projection is a pure column shuffle — no predicate runs, so the
-    // window only sets the checkpoint cadence.
-    for (size_t begin = 0; begin < rows.size(); begin += batch_size()) {
-      const size_t end = std::min(rows.size(), begin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-      for (size_t i = begin; i < end; ++i) {
-        scratch.AssignProject(rows[i].first, n.proj_pos);
-        INCDB_RETURN_IF_ERROR(out.Insert(scratch, rows[i].second));
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    if (set_semantics()) out.CollapseCounts();
-    return RelationView::Own(std::move(out));
-  }
-
+  /// An owned left side becomes the output as it is; a borrowed one is
+  /// copied, and charged like RunNode charges a borrowed result. The right
+  /// rows are emitted into it.
   StatusOr<RelationView> EvalUnion(const PhysNode& n) {
     auto l = Eval(n.left);
     if (!l.ok()) return l;
     auto r = Eval(n.right);
     if (!r.ok()) return r;
-    uint64_t r_total = r->TotalSize();
-    const std::vector<Relation::Row>& r_rows = r->rows();
-    Relation out = std::move(*l).Materialize();
-    out.Reserve(out.rows().size() + r_rows.size());
-    for (const auto& [t, c] : r_rows) {
-      INCDB_RETURN_IF_ERROR(Checkpoint());
-      INCDB_RETURN_IF_ERROR(out.Insert(t, c));
+    if (l->borrowed() && !Charge(l->TotalSize(), n.attrs.size())) {
+      return OverBudget();
     }
-    INCDB_RETURN_IF_ERROR(Budget(r_total, n.attrs.size()));
-    if (set_semantics()) out.CollapseCounts();
-    return RelationView::Own(std::move(out));
+    Relation left = std::move(*l).Materialize();
+    const Rows& rrows = r->rows();
+    return Sink(
+        n, rrows.size(),
+        [&](auto& tick, auto& emit) -> Status {
+          for (size_t wb = 0; wb < rrows.size(); wb += batch_size()) {
+            const size_t we = std::min(rrows.size(), wb + batch_size());
+            INCDB_RETURN_IF_ERROR(tick(we - wb));
+            for (size_t i = wb; i < we; ++i) {
+              INCDB_RETURN_IF_ERROR(emit(rrows[i].first, rrows[i].second,
+                                         /*distinct=*/false));
+            }
+          }
+          return Status::OK();
+        },
+        &left);
   }
 
   StatusOr<RelationView> EvalDifference(const PhysNode& n) {
@@ -353,29 +321,17 @@ class Executor {
     if (!l.ok()) return l;
     auto r = Eval(n.right);
     if (!r.ok()) return r;
-    Relation out(n.attrs);
-    if (sql_mode()) {
+    const bool sql = sql_mode();
+    auto kept_count = [&](const Tuple& t, uint64_t c) -> uint64_t {
       // IN semantics: keep r̄ iff some right tuple compares t. Under 3VL a
       // comparison is t only when both tuples are all-constant and equal,
       // so membership reduces to one hash lookup per left tuple.
-      for (const auto& [t, c] : l->rows()) {
-        INCDB_RETURN_IF_ERROR(Checkpoint());
-        if (t.AllConst() && r->Contains(t)) {
-          INCDB_RETURN_IF_ERROR(out.Insert(t, 1));
-        }
-      }
-      INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-      return RelationView::Own(std::move(out));
-    }
-    for (const auto& [t, c] : l->rows()) {
-      INCDB_RETURN_IF_ERROR(Checkpoint());
-      uint64_t rc = r->Count(t);
-      if (rc == 0) continue;
-      INCDB_RETURN_IF_ERROR(
-          out.Insert(t, set_semantics() ? 1 : std::min(c, rc)));
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+      if (sql) return t.AllConst() && r->Contains(t) ? 1 : 0;
+      const uint64_t rc = r->Count(t);
+      if (rc == 0) return 0;
+      return set_semantics() ? 1 : std::min(c, rc);
+    };
+    return KeepLeftRows(n, l->rows(), kept_count);
   }
 
   StatusOr<RelationView> EvalDivision(const PhysNode& n) {
@@ -391,15 +347,16 @@ class Executor {
     }
     std::set<Tuple> divisor;
     for (const auto& [t, c] : r->rows()) divisor.insert(t.Project(n.div_r));
-    Relation out(n.attrs);
-    for (const auto& [key, parts] : groups) {
-      INCDB_RETURN_IF_ERROR(Checkpoint(divisor.size() + 1));
-      bool all = std::includes(parts.begin(), parts.end(), divisor.begin(),
-                               divisor.end());
-      if (all) INCDB_RETURN_IF_ERROR(out.Insert(key, 1));
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+    return Sink(n, 0, [&](auto& tick, auto& emit) -> Status {
+      for (const auto& [key, parts] : groups) {
+        INCDB_RETURN_IF_ERROR(tick(divisor.size() + 1));
+        if (std::includes(parts.begin(), parts.end(), divisor.begin(),
+                          divisor.end())) {
+          INCDB_RETURN_IF_ERROR(emit(key, 1, /*distinct=*/true));
+        }
+      }
+      return Status::OK();
+    });
   }
 
   StatusOr<RelationView> EvalAntijoinUnify(const PhysNode& n) {
@@ -435,30 +392,22 @@ class Executor {
             .WithDetail(std::move(d));
       }
     }
-    Relation out(n.attrs);
-    std::vector<size_t> idx(n.dom_arity, 0);
-    if (n.dom_arity == 0) {
-      INCDB_RETURN_IF_ERROR(out.Insert(Tuple{}, 1));
-      return RelationView::Own(std::move(out));
-    }
-    if (values.empty()) return RelationView::Own(std::move(out));
-    while (true) {
-      INCDB_RETURN_IF_ERROR(Checkpoint());
-      std::vector<Value> vals;
-      vals.reserve(n.dom_arity);
-      for (size_t i : idx) vals.push_back(values[i]);
-      INCDB_RETURN_IF_ERROR(out.Insert(Tuple(std::move(vals)), 1));
-      size_t pos = n.dom_arity;
-      while (pos > 0) {
-        --pos;
-        if (++idx[pos] < values.size()) break;
-        idx[pos] = 0;
-        if (pos == 0) {
-          INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-          return RelationView::Own(std::move(out));
-        }
+    // Odometer over Dom^k in lexicographic order; Dom^0 is the one empty
+    // tuple, and Dom^k of an empty domain is empty.
+    return Sink(n, 0, [&](auto& tick, auto& emit) -> Status {
+      if (n.dom_arity > 0 && values.empty()) return Status::OK();
+      std::vector<size_t> idx(n.dom_arity, 0);
+      Tuple row;
+      for (;;) {
+        INCDB_RETURN_IF_ERROR(tick(1));
+        row.Clear();
+        for (size_t i : idx) row.Append(values[i]);
+        INCDB_RETURN_IF_ERROR(emit(row, 1, /*distinct=*/true));
+        size_t pos = n.dom_arity;
+        while (pos > 0 && ++idx[pos - 1] == values.size()) idx[--pos] = 0;
+        if (pos == 0) return Status::OK();
       }
-    }
+    });
   }
 
   StatusOr<RelationView> EvalSemiAnti(const PhysNode& n) {
@@ -495,45 +444,47 @@ class Executor {
     };
     JoinPairs pairs(n, batch_size(), lrows, rrows, mark);
     const bool trivial = n.cond->kind == CondKind::kTrue;
-    Relation out(n.attrs);
     // Checkpoint weight follows the work: the un-hashed fallback scans the
     // whole right side per left row. Checkpoints fire once per window.
     const uint64_t probe_weight = hashed ? 1 : 1 + rrows.size();
-    for (; begin < lrows.size(); begin += batch_size()) {
-      const size_t end = std::min(lrows.size(), begin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(probe_weight * (end - begin)));
-      matched.assign(end - begin, 0);
-      for (size_t i = begin; i < end; ++i) {
-        const uint32_t li = static_cast<uint32_t>(i);
-        char& m = matched[i - begin];
-        if (!hashed) {
-          for (size_t wb = 0; wb < rrows.size() && !m; wb += batch_size()) {
-            const size_t we = std::min(rrows.size(), wb + batch_size());
-            INCDB_RETURN_IF_ERROR(pairs.Sweep(/*fixed_left=*/true, li, wb, we));
+    return Sink(n, 0, [&](auto& tick, auto& emit) -> Status {
+      for (; begin < lrows.size(); begin += batch_size()) {
+        const size_t end = std::min(lrows.size(), begin + batch_size());
+        INCDB_RETURN_IF_ERROR(tick(probe_weight * (end - begin)));
+        matched.assign(end - begin, 0);
+        for (size_t i = begin; i < end; ++i) {
+          const uint32_t li = static_cast<uint32_t>(i);
+          char& m = matched[i - begin];
+          if (!hashed) {
+            for (size_t wb = 0; wb < rrows.size() && !m; wb += batch_size()) {
+              const size_t we = std::min(rrows.size(), wb + batch_size());
+              INCDB_RETURN_IF_ERROR(
+                  pairs.Sweep(/*fixed_left=*/true, li, wb, we));
+            }
+            continue;
           }
-          continue;
+          key.AssignProject(lrows[i].first, n.lkeys);
+          if (sql_mode() && key.HasNull()) continue;
+          auto it = index.find(key);
+          if (it == index.end()) continue;
+          if (trivial) {
+            m = 1;  // any key match suffices
+            continue;
+          }
+          for (size_t j = 0; j < it->second.size() && !m; ++j) {
+            INCDB_RETURN_IF_ERROR(pairs.Add(li, it->second[j]));
+          }
         }
-        key.AssignProject(lrows[i].first, n.lkeys);
-        if (sql_mode() && key.HasNull()) continue;
-        auto it = index.find(key);
-        if (it == index.end()) continue;
-        if (trivial) {
-          m = 1;  // any key match suffices
-          continue;
-        }
-        for (size_t j = 0; j < it->second.size() && !m; ++j) {
-          INCDB_RETURN_IF_ERROR(pairs.Add(li, it->second[j]));
+        INCDB_RETURN_IF_ERROR(pairs.Flush());
+        for (size_t i = begin; i < end; ++i) {
+          if ((matched[i - begin] != 0) == n.anti) continue;
+          const auto& [lt, lc] = lrows[i];
+          INCDB_RETURN_IF_ERROR(
+              emit(lt, set_semantics() ? 1 : lc, /*distinct=*/true));
         }
       }
-      INCDB_RETURN_IF_ERROR(pairs.Flush());
-      for (size_t i = begin; i < end; ++i) {
-        if ((matched[i - begin] != 0) == n.anti) continue;
-        const auto& [lt, lc] = lrows[i];
-        INCDB_RETURN_IF_ERROR(out.Insert(lt, set_semantics() ? 1 : lc));
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+      return Status::OK();
+    });
   }
 
   /// SQL's x̄ [NOT] IN subquery predicate. The right side is first filtered
@@ -610,36 +561,37 @@ class Executor {
     };
     JoinPairs pairs(n, batch_size(), lrows, rrows, compare);
 
-    Relation out(n.attrs);
     // The correlated path re-scans the right side per left row.
     // Checkpoints fire once per window of left rows.
     const uint64_t row_weight = correlated ? 1 + rrows.size() : 1;
-    for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
-      const size_t end = std::min(lrows.size(), begin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(row_weight * (end - begin)));
-      for (size_t i = begin; i < end; ++i) {
-        const auto& [lt, lc] = lrows[i];
-        lkey.AssignProject(lt, n.lpos);
-        bool keep;
-        if (correlated) {
-          exists_t = false;
-          all_f = true;
-          for (size_t wb = 0; wb < rrows.size(); wb += batch_size()) {
-            const size_t we = std::min(rrows.size(), wb + batch_size());
-            INCDB_RETURN_IF_ERROR(pairs.Sweep(
-                /*fixed_left=*/true, static_cast<uint32_t>(i), wb, we));
+    return Sink(n, 0, [&](auto& tick, auto& emit) -> Status {
+      for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
+        const size_t end = std::min(lrows.size(), begin + batch_size());
+        INCDB_RETURN_IF_ERROR(tick(row_weight * (end - begin)));
+        for (size_t i = begin; i < end; ++i) {
+          const auto& [lt, lc] = lrows[i];
+          lkey.AssignProject(lt, n.lpos);
+          bool keep;
+          if (correlated) {
+            exists_t = false;
+            all_f = true;
+            for (size_t wb = 0; wb < rrows.size(); wb += batch_size()) {
+              const size_t we = std::min(rrows.size(), wb + batch_size());
+              INCDB_RETURN_IF_ERROR(pairs.Sweep(
+                  /*fixed_left=*/true, static_cast<uint32_t>(i), wb, we));
+            }
+            keep = negated ? all_f : exists_t;
+          } else {
+            keep = keep_uncorrelated();
           }
-          keep = negated ? all_f : exists_t;
-        } else {
-          keep = keep_uncorrelated();
-        }
-        if (keep) {
-          INCDB_RETURN_IF_ERROR(out.Insert(lt, set_semantics() ? 1 : lc));
+          if (keep) {
+            INCDB_RETURN_IF_ERROR(
+                emit(lt, set_semantics() ? 1 : lc, /*distinct=*/true));
+          }
         }
       }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+      return Status::OK();
+    });
   }
 
   /// The three join kinds, each one kernel call (eval/join_rows.h).
@@ -652,44 +604,18 @@ class Executor {
     const Rows& lrows = l->rows();
     const Rows& rrows = r->rows();
 
-    // Projection shortcut: a condition-free product projected onto
-    // columns of a single side is just that side's projection (times the
-    // other side's non-emptiness) under set semantics.
-    if (n.op == PhysOp::kNLJoin && n.fused_proj && set &&
-        n.cond->kind == CondKind::kTrue &&
-        (n.proj_left_only || n.proj_right_only)) {
-      const bool keep_left = n.proj_left_only;
-      Relation out(n.attrs);
-      if ((keep_left ? rrows : lrows).empty()) {
-        return RelationView::Own(std::move(out));
-      }
-      std::vector<size_t> pos = n.proj_pos;
-      if (!keep_left) {
-        for (size_t& p : pos) p -= n.left_arity;
-      }
-      Tuple scratch;
-      for (const auto& [t, c] : keep_left ? lrows : rrows) {
-        INCDB_RETURN_IF_ERROR(Checkpoint());
-        scratch.AssignProject(t, pos);
-        INCDB_RETURN_IF_ERROR(out.Insert(scratch, 1));
-      }
-      out.CollapseCounts();
-      INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-      return RelationView::Own(std::move(out));
-    }
-
     switch (n.op) {
       case PhysOp::kNLJoin:
-        return RunSequential(n, 0, [&](auto& tick, auto& emit) {
+        return Sink(n, 0, [&](auto& tick, auto& emit) {
           return NLJoinRows(n, set, batch_size(), lrows, rrows, tick, emit);
         });
       case PhysOp::kHashJoin:
-        return RunSequential(n, 0, [&](auto& tick, auto& emit) {
+        return Sink(n, 0, [&](auto& tick, auto& emit) {
           return HashJoinRows(n, set, sql_mode(), batch_size(), lrows, rrows,
                               tick, emit);
         });
       default:
-        return RunSequential(
+        return Sink(
             n, std::max(lrows.size(), rrows.size()),
             [&](auto& tick, auto& emit) {
               return UnifyJoinRows(n, set, batch_size(), lrows, rrows, tick,
@@ -703,12 +629,10 @@ class Executor {
   ScanResolver scans_;
   const ExecContext* ctx_;  // outlives the execution (held by the caller)
   const bool limited_;      // hoisted ctx_->limited(): one branch per checkpoint
+  const uint64_t mem_limit_;  // ctx_->soft_mem_limit_bytes; UINT64_MAX if 0
   // Reusable columnar buffers for the filter sweeps (join residuals bring
   // their own PairSelector).
-  BatchGather gather_;
-  Batch batch_;
-  BatchPredicate::Scratch bp_scratch_;
-  SelVector sel_;
+  FilterScratch filter_;
   uint64_t produced_ = 0;
   uint64_t mem_used_ = 0;   // approx bytes of materialized tuples
   uint64_t check_acc_ = 0;  // rows since the last real ctx check

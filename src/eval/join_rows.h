@@ -3,15 +3,12 @@
 
 /// \file join_rows.h
 /// \brief One row kernel per join kind: HashJoinRows (PhysOp::kHashJoin),
-/// NLJoinRows (kNLJoin) and UnifyJoinRows (kUnifyJoin). The executor
-/// (eval/exec.cpp) and delta propagation (eval/delta.cpp) both run these
-/// loops, so each join's semantics live in one place. Callers differ only
-/// in two hooks, which both return Status (the first error stops the join):
-///  * `tick(units)` — the cooperative checkpoint, called once per window of
-///    rows visited and once per hash-bucket run (with its size);
-///  * `emit(row, count, distinct)` — receives each output row; `distinct`
-///    is true when the row cannot repeat within this call (an unprojected
-///    pair of distinct input rows).
+/// NLJoinRows (kNLJoin) and UnifyJoinRows (kUnifyJoin), the binary
+/// counterparts of eval/row_kernels.h with the same `tick`/`emit` hooks:
+/// tick also runs once per hash-bucket run (with its size), and a row is
+/// distinct when it is an unprojected pair of distinct input rows. The
+/// executor (eval/exec.cpp) and delta propagation (eval/delta.cpp) both
+/// run these loops, so each join's semantics live in one place.
 /// `window` is the plan's resolved batch_size (≥ 1). A pair's multiplicity
 /// is lc·rc (1 under set semantics); its row is the fused projection read
 /// straight from the pair, else the concatenation.
@@ -49,11 +46,9 @@
 #include "core/tuple.h"
 #include "eval/batch.h"
 #include "eval/plan.h"
+#include "eval/row_kernels.h"
 
 namespace incdb {
-
-/// The flat rows of one join input.
-using Rows = std::vector<Relation::Row>;
 
 /// \brief The pairs of `lrows` × `rrows` that node `n`'s condition selects,
 /// handed to `on_pair(l, r)` (row ids) in candidate order.
@@ -140,6 +135,13 @@ auto PairEmitter(const PhysNode& n, bool set, const Rows& lrows,
   };
 }
 
+/// Node `n`'s fused projection onto one side's columns, relative to it.
+inline std::vector<size_t> KeptSidePositions(const PhysNode& n, bool left) {
+  std::vector<size_t> pos = n.proj_pos;
+  for (size_t& p : pos) p -= left ? 0 : n.left_arity;
+  return pos;
+}
+
 /// Runs the kHashJoin node `n` over `lrows` ⋈ `rrows`. The smaller side
 /// (the left one on a tie) indexes its rows on the key columns; the other
 /// side's rows look up their bucket. Under SQL 3VL (`sql`) a null key
@@ -201,12 +203,23 @@ Status HashJoinRows(const PhysNode& n, bool set, bool sql, size_t window,
 /// row, the right side is swept in windows with the left row broadcast.
 /// tick: once per window, so every visited pair counts and a deadline
 /// fires even when nothing matches. Emission order: left-major, right rows
-/// in order.
+/// in order. A condition-free product projected onto one side's columns
+/// under set semantics is that side's projection (ProjectRows) when the
+/// other side is non-empty: the same rows in the same first-emission
+/// order, without visiting the pairs.
 template <typename Tick, typename Emit>
 Status NLJoinRows(const PhysNode& n, bool set, size_t window,
                   const Rows& lrows, const Rows& rrows, Tick&& tick,
                   Emit&& emit) {
   assert(window > 0);
+  if (set && n.fused_proj && n.cond->kind == CondKind::kTrue &&
+      (n.proj_left_only || n.proj_right_only)) {
+    const bool keep_left = n.proj_left_only;
+    const Rows& krows = keep_left ? lrows : rrows;
+    if ((keep_left ? rrows : lrows).empty()) return Status::OK();
+    return ProjectRows(KeptSidePositions(n, keep_left), window, krows, 0,
+                       krows.size(), tick, emit);
+  }
   auto emit_pair = PairEmitter(n, set, lrows, rrows, emit);
   JoinPairs pairs(n, window, lrows, rrows, emit_pair);
   for (size_t li = 0; li < lrows.size(); ++li) {
@@ -270,10 +283,7 @@ Status UnifyJoinRows(const PhysNode& n, bool set, size_t window,
     const Rows& orows = keep_left ? rrows : lrows;
     const size_t kkey = keep_left ? n.lkeys[0] : n.rkeys[0];
     const UnifyKeyIndex index(orows, keep_left ? n.rkeys[0] : n.lkeys[0]);
-    std::vector<size_t> kpos = n.proj_pos;
-    if (!keep_left) {
-      for (size_t& p : kpos) p -= n.left_arity;
-    }
+    const std::vector<size_t> kpos = KeptSidePositions(n, keep_left);
     Tuple projected;
     std::vector<char> matched;  // per kept row of the current window
     size_t begin = 0;

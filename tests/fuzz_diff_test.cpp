@@ -819,7 +819,7 @@ TEST(FuzzDiffTest, CursorDrainMatchesExecute) {
           ASSERT_TRUE(cur->status().ok())
               << "case " << i << ": " << cur->status().ToString();
           ASSERT_EQ(delivered.attrs(), rel->attrs()) << "case " << i;
-          ASSERT_TRUE(delivered.SameRows(*rel))
+          ASSERT_TRUE(delivered.IdenticalTo(*rel))
               << "case " << i << " (mode " << static_cast<int>(mode)
               << ", b" << batch << ") cursor diverges for " << q->ToString()
               << "\nexecute:\n"

@@ -206,11 +206,14 @@ TEST(BudgetAuditTest, EveryOperatorShapeHonoursMaxTuples) {
   }
   Relation divisor({"b"});
   divisor.Add({Value::Int(0)});
+  Relation one({"a"});
+  one.Add({Value::Int(9)});
   db.Put("P", std::move(p));
   db.Put("P2", std::move(p2));
   db.Put("E", std::move(empty));
   db.Put("Pairs", std::move(pairs));
   db.Put("Div", std::move(divisor));
+  db.Put("One", std::move(one));
 
   struct Case {
     const char* name;
@@ -223,6 +226,9 @@ TEST(BudgetAuditTest, EveryOperatorShapeHonoursMaxTuples) {
                    true});
   cases.push_back(
       {"union", Union(Scan("P"), Rename(Scan("P2"), {"a"})), true});
+  // The borrowed left scan is copied into the result, so it is charged
+  // although the right side alone stays under the budget.
+  cases.push_back({"union_borrowed_left", Union(Scan("P"), Scan("One")), true});
   cases.push_back({"diff", Diff(Scan("P"), Scan("E")), true});
   cases.push_back(
       {"intersect", Intersect(Scan("P"), Rename(Scan("P2"), {"a"})), true});
